@@ -1,14 +1,13 @@
 //! `tdc-ctrl` — the closed-loop SLO controller for `tdc-serve`.
 //!
-//! The serving layer's built-in autotuner bisects exactly one knob (the
-//! FLOPs budget) against a simulated p99. Real SLO tuning is a *joint*
-//! problem: the budget trades model quality against kernel time, the batch
-//! size trades throughput against service time, the batch delay trades
-//! batching efficiency against queueing tail, and the fair-share weight
-//! trades one model's throughput against its neighbours'. This crate
-//! supplies the missing search: [`Controller`] is a
-//! [`TuneDriver`] running **coordinate descent over
-//! all four knobs at once**, scoring every candidate on the control plane's
+//! The serving layer owns the hot-swap machinery and the tune ledger but no
+//! search of its own. SLO tuning is a *joint* problem: the FLOPs budget
+//! trades model quality against kernel time, the batch size trades
+//! throughput against service time, the batch delay trades batching
+//! efficiency against queueing tail, and the fair-share weight trades one
+//! model's throughput against its neighbours'. This crate supplies the
+//! search: [`Controller`] is a [`TuneDriver`] running **coordinate descent
+//! over all four knobs at once**, scoring every candidate on the control plane's
 //! probe-and-replay wave simulator
 //! ([`ControlPlane::estimate_knobs`](tdc_serve::ControlPlane::estimate_knobs))
 //! and applying the winner through the zero-drop hot-swap path
@@ -398,7 +397,7 @@ mod tests {
     use std::sync::Arc;
     use tdc_serve::{
         serving_descriptor, BatchingOptions, ControllerConfig, MeasuredSlo, ModelConfig,
-        ModelRegistry, RuntimeOptions,
+        ModelRegistry, PlanningOptions, RuntimeOptions,
     };
     use tdc_tensor::Tensor;
 
@@ -488,6 +487,49 @@ mod tests {
         let model = &status.models[0];
         assert_eq!(model.tuning_generation, 1);
         assert!(model.expected_p99_ms > 0.0);
+        Arc::try_unwrap(registry).ok().unwrap().shutdown();
+    }
+
+    #[test]
+    fn a_tune_walks_an_over_provisioned_budget_down_to_the_slo() {
+        // A sim-GPU model registered at budget 0.9 demands so much reduction
+        // that layers fall back to dense (slower); the SLO is what a
+        // mid-range budget delivers, so the search must lower the budget.
+        let mut cfg = sim_config(8, Duration::from_millis(2));
+        cfg.planning = PlanningOptions {
+            budget: 0.9,
+            ..PlanningOptions::default()
+        };
+        let registry = Arc::new(ModelRegistry::new(8));
+        registry.set_tune_driver(Arc::new(Controller::new()));
+        registry
+            .register("budget", &serving_descriptor("ctrl-budget", 12, 8, 10), cfg)
+            .unwrap();
+        let mut mid = KnobSet::of(registry.engine("budget").unwrap().config());
+        mid.flops_budget = 0.45;
+        let target = registry.estimate_knobs("budget", &mid).unwrap().p99_ms;
+        let report = registry
+            .tune(
+                "budget",
+                &TuneRequest {
+                    target_p99_ms: Some(target),
+                    ..TuneRequest::default()
+                },
+            )
+            .unwrap();
+        assert!(report.converged, "{report:?}");
+        assert!(report.applied, "{report:?}");
+        assert!(
+            report.after.flops_budget < report.before.flops_budget,
+            "the search must walk down from the over-provisioned start: {report:?}"
+        );
+        let handle = registry.engine("budget").unwrap();
+        assert_eq!(KnobSet::of(handle.config()), report.after);
+        drop(handle);
+        let out = registry
+            .infer("budget", Tensor::zeros(vec![12, 12, 8]))
+            .unwrap();
+        assert_eq!(out.output.dims(), &[10]);
         Arc::try_unwrap(registry).ok().unwrap().shutdown();
     }
 

@@ -10,7 +10,7 @@
 //! | 2 | header + per-backend `runs[]` (cold/warm plan outcomes, simulated GPU account) |
 //! | 3 | `multi_model` registry phase |
 //! | 4 | `deadline_ms`, `http` phase, per-run `rejected` / `deadline_exceeded` |
-//! | 5 | `autotune` phase |
+//! | 5 | `autotune` phase (retired: no longer written, still accepted) |
 //! | 6 | `router` fleet phase |
 //! | 7 | `qos` phase |
 //! | 8 | `trace` phase (this crate's trace-driven workload engine) |
@@ -40,6 +40,11 @@ const SECTIONS: [(&str, u32); 8] = [
     ("kernels", 9),
     ("controller", 10),
 ];
+
+/// Sections the benchmark no longer writes. Artifacts from their era still
+/// carry them, so they stay valid from their introduction version on, but
+/// a newer artifact may omit the key entirely.
+const RETIRED_SECTIONS: [&str; 1] = ["autotune"];
 
 fn is_present(artifact: &Value, key: &str) -> bool {
     matches!(artifact.get(key), Some(v) if !matches!(v, Value::Null))
@@ -208,7 +213,7 @@ pub fn validate(artifact: &Value) -> Result<u32, String> {
                      but artifact declares {version}"
                 ));
             }
-        } else if artifact.get(section).is_none() {
+        } else if artifact.get(section).is_none() && !RETIRED_SECTIONS.contains(&section) {
             return Err(format!(
                 "artifact: schema_version {version} requires a {section:?} key (null when the \
                  phase did not run)"
@@ -482,6 +487,31 @@ mod tests {
         kept.push_str(", \"trace\": null}");
         let value = parse_value(&kept).expect("parses");
         assert_eq!(validate(&value), Ok(8));
+    }
+
+    #[test]
+    fn retired_sections_are_accepted_but_not_required() {
+        // The retired autotune section validates when present (older
+        // artifacts and the committed baseline carry it) and may be absent
+        // from a current one.
+        let with = artifact(CURRENT_SCHEMA_VERSION);
+        assert!(with.contains("\"autotune\": {\"model\": \"m\"}"));
+        let value = parse_value(&with).expect("parses");
+        assert_eq!(validate(&value), Ok(CURRENT_SCHEMA_VERSION));
+
+        let without = with.replace(r#""autotune": {"model": "m"}, "#, "");
+        assert!(!without.contains("autotune"));
+        let value = parse_value(&without).expect("parses");
+        assert_eq!(validate(&value), Ok(CURRENT_SCHEMA_VERSION));
+
+        // Present but malformed is still an error, and still a future
+        // section in a pre-v5 artifact.
+        let malformed = with.replace(r#""autotune": {"model": "m"}"#, r#""autotune": {}"#);
+        let value = parse_value(&malformed).expect("parses");
+        assert!(validate(&value).is_err());
+        let early = artifact(4).replace("\"runs\":", r#""autotune": {"model": "m"}, "runs":"#);
+        let value = parse_value(&early).expect("parses");
+        assert!(validate(&value).unwrap_err().contains("autotune"));
     }
 
     #[test]

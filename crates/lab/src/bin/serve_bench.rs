@@ -21,15 +21,6 @@
 //! * `--keep-alive` — adds an HTTP phase: the single model behind the
 //!   HTTP/1.1 front end, driven over persistent connections; the artifact's
 //!   `http` section records connection-reuse and timeout counts.
-//! * `--autotune` — adds the SLO phase: one sim-GPU model registered at a
-//!   deliberately over-provisioned budget (0.9 — past the feasibility
-//!   cliff, so its plan misses the SLO), then the control plane's budget
-//!   search bisects down to the largest budget whose estimated p99 meets
-//!   the target, hot-swaps it in, and serves traffic on the tuned plan; the
-//!   artifact's `autotune` section records the search trace and the
-//!   control-plane lifecycle counters. The target defaults to the estimate
-//!   at budget 0.45 (so convergence is meaningful) and can be overridden
-//!   with `SERVE_BENCH_TARGET_P99_MS`.
 //! * `--router` — adds the fleet phase: three in-process replicas (each a
 //!   registry behind its own HTTP front end) behind a `tdc-router`
 //!   [`Router`], hammered over keep-alive connections while one replica is
@@ -73,9 +64,11 @@
 //!
 //! ```text
 //! serve_bench [--backend cpu|sim-gpu|both] [--models N] [--deadline-ms D]
-//!             [--keep-alive] [--autotune] [--router] [--qos] [--controller]
+//!             [--keep-alive] [--router] [--qos] [--controller]
 //!             [--trace spec.json] [--check-schema]
 //! ```
+//!
+//! Any other `--flag` is rejected with this usage line and exit code 2.
 //!
 //! Environment knobs (all optional):
 //!
@@ -88,7 +81,7 @@
 //! * `SERVE_BENCH_BACKEND`   — same as `--backend` (the flag wins)
 //! * `SERVE_BENCH_MODELS`    — same as `--models` (the flag wins)
 //! * `SERVE_BENCH_DEADLINE_MS` — same as `--deadline-ms` (the flag wins)
-//! * `SERVE_BENCH_TARGET_P99_MS` — `--autotune` SLO target override, ms
+//! * `SERVE_BENCH_TARGET_P99_MS` — `--controller` SLO target override, ms
 //! * `SERVE_BENCH_TRACE`     — same as `--trace` (the flag wins)
 //! * `SERVE_BENCH_TRACE_TIME_SCALE` — trace-clock multiplier (default 1.0)
 //! * `SERVE_BENCH_OUT`       — artifact path (default `BENCH_serve.json`)
@@ -102,9 +95,9 @@ use tdc_lab::spec::WorkloadSpec;
 use tdc_router::{Router, RouterOptions, RoutingPolicy};
 use tdc_serve::http::{http_request, InferBody};
 use tdc_serve::{
-    serving_descriptor, AutotuneRequest, BackendKind, BatchingOptions, CacheOutcome, HttpClient,
-    HttpServer, LatencySummary, LayerSimLatency, ModelConfig, ModelRegistry, PlanCache,
-    PlanningOptions, RuntimeOptions, ServeEngine, ServeError,
+    serving_descriptor, BackendKind, BatchingOptions, CacheOutcome, HttpClient, HttpServer,
+    LatencySummary, LayerSimLatency, ModelConfig, ModelRegistry, PlanCache, PlanningOptions,
+    RuntimeOptions, ServeEngine, ServeError,
 };
 use tdc_tensor::init;
 
@@ -132,7 +125,6 @@ struct ServeBenchArtifact {
     runs: Vec<BackendRun>,
     multi_model: Option<MultiModelRun>,
     http: Option<HttpRun>,
-    autotune: Option<AutotuneRun>,
     router: Option<RouterRun>,
     qos: Option<QosRun>,
     trace: Option<TraceRun>,
@@ -333,24 +325,6 @@ struct RouterRun {
     per_replica_forwarded: Vec<u64>,
 }
 
-/// The `--autotune` SLO phase: search trace, winning budget, post-swap
-/// serving proof and control-plane counters.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct AutotuneRun {
-    /// The model the search tuned.
-    model: String,
-    /// The over-provisioned budget the model was registered at.
-    registered_budget: f64,
-    /// The control plane's full search report (target, probes, winner).
-    report: tdc_serve::AutotuneReport,
-    /// Requests served on the tuned plan after the hot-swap.
-    post_swap_requests: u64,
-    /// p99 across the post-swap requests, ms (wall clock, not simulated).
-    post_swap_p99_ms: f64,
-    /// Control-plane lifecycle counters at the end of the phase.
-    lifecycle: tdc_serve::LifecycleCounters,
-}
-
 /// The `--keep-alive` HTTP phase: requests driven through the front end
 /// over persistent connections.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
@@ -492,6 +466,43 @@ fn deadline_selection() -> Option<u64> {
         Some(Ok(ms)) if ms > 0 => Some(ms),
         Some(_) => {
             eprintln!("serve_bench: --deadline-ms needs a positive integer");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Flags that take a value, as `--flag value` or `--flag=value`.
+const VALUE_FLAGS: [&str; 4] = ["--backend", "--models", "--deadline-ms", "--trace"];
+
+/// Flags that stand alone.
+const SWITCHES: [&str; 5] = [
+    "--keep-alive",
+    "--router",
+    "--qos",
+    "--controller",
+    "--check-schema",
+];
+
+const USAGE: &str = "usage: serve_bench [--backend cpu|sim-gpu|both] [--models N] \
+                     [--deadline-ms D] [--keep-alive] [--router] [--qos] [--controller] \
+                     [--trace spec.json] [--check-schema]";
+
+/// Exit 2 with the usage line on any `--flag` outside the known set, so a
+/// mistyped or retired flag fails loudly instead of silently running a
+/// different benchmark.
+fn reject_unknown_flags() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if VALUE_FLAGS.contains(&arg.as_str()) {
+            args.next();
+            continue;
+        }
+        let known = SWITCHES.contains(&arg.as_str())
+            || VALUE_FLAGS
+                .iter()
+                .any(|flag| arg.strip_prefix(flag).is_some_and(|v| v.starts_with('=')));
+        if arg.starts_with("--") && !known {
+            eprintln!("serve_bench: unknown flag {arg:?}\n{USAGE}");
             std::process::exit(2);
         }
     }
@@ -1103,123 +1114,6 @@ fn run_http_phase(
         run.completed,
         run.timeouts
     );
-    run
-}
-
-/// The `--autotune` phase: register one sim-GPU model at a deliberately
-/// over-provisioned budget (0.9 demands more FLOPs reduction than the
-/// model's layers can deliver, so rank selection degrades to dense
-/// fallbacks and the plan misses the SLO), run the control plane's budget
-/// search against a target p99, and serve traffic on the hot-swapped tuned
-/// plan.
-fn run_autotune(s: &BenchSettings) -> AutotuneRun {
-    const OVER_PROVISIONED_BUDGET: f64 = 0.9;
-    const REFERENCE_BUDGET: f64 = 0.45;
-    let registry = ModelRegistry::new(16);
-    let descriptor = serving_descriptor("svc-tune", 12, 8, 10);
-    let name = descriptor.slug();
-    registry
-        .register(
-            &name,
-            &descriptor,
-            ModelConfig {
-                planning: PlanningOptions {
-                    budget: OVER_PROVISIONED_BUDGET,
-                    ..s.planning.clone()
-                },
-                batching: s.batching.clone(),
-                runtime: RuntimeOptions {
-                    workers: s.workers,
-                    backend: BackendKind::SimGpu,
-                    ..RuntimeOptions::default()
-                },
-                ..ModelConfig::default()
-            },
-        )
-        .expect("register autotune model");
-
-    // The SLO: what a feasible mid-range budget delivers, unless the
-    // operator pinned one. With the default, the over-provisioned start is
-    // guaranteed to miss it and the search has real work to do.
-    let pinned_target = std::env::var("SERVE_BENCH_TARGET_P99_MS")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok());
-    let target_derived = pinned_target.is_none();
-    let target_p99_ms = pinned_target.unwrap_or_else(|| {
-        registry
-            .estimate_sim_p99_ms(&name, REFERENCE_BUDGET)
-            .expect("estimate the reference budget")
-    });
-
-    println!("\n== autotune: SLO target p99 {target_p99_ms:.4} ms ==");
-    println!(
-        "  registered {} at over-provisioned budget {:.2} (sim-gpu, {} worker(s))",
-        name, OVER_PROVISIONED_BUDGET, s.workers
-    );
-    let report = registry
-        .autotune(&name, &AutotuneRequest::new(target_p99_ms))
-        .expect("autotune search");
-    for probe in &report.probes {
-        println!(
-            "  probe budget {:.3} -> estimated p99 {:.4} ms{}",
-            probe.budget,
-            probe.estimated_p99_ms,
-            if probe.estimated_p99_ms <= target_p99_ms {
-                "  (meets SLO)"
-            } else {
-                ""
-            }
-        );
-    }
-    println!(
-        "  winner: budget {:.3} (estimated p99 {:.4} ms, converged {}, applied {})",
-        report.final_budget, report.achieved_p99_ms, report.converged, report.applied
-    );
-    if target_derived {
-        // The default target is the estimate at a feasible budget inside
-        // the interval, so the search must converge on it.
-        assert!(
-            report.converged,
-            "the default interval must contain a budget meeting the SLO"
-        );
-        assert!(
-            report.achieved_p99_ms <= target_p99_ms,
-            "winner p99 {:.4} ms misses the target {:.4} ms",
-            report.achieved_p99_ms,
-            target_p99_ms
-        );
-    } else if !report.converged {
-        // A pinned SERVE_BENCH_TARGET_P99_MS may be unreachable; record the
-        // non-converged trace instead of failing the bench.
-        println!("  note: pinned target is not reachable inside the interval; nothing applied");
-    }
-    assert!(report.final_budget <= report.start_budget);
-
-    // Serve on the tuned plan: the swap is only a win if traffic flows.
-    let mut rng = StdRng::seed_from_u64(1234);
-    let post_swap_requests = 16u64;
-    for _ in 0..post_swap_requests {
-        registry
-            .infer(&name, init::uniform(vec![12, 12, 8], -1.0, 1.0, &mut rng))
-            .expect("post-swap inference");
-    }
-    let metrics = registry.metrics();
-    let tuned = &metrics.models[0];
-    assert_eq!(tuned.metrics.completed_requests, post_swap_requests);
-    assert_eq!(tuned.generation, if report.applied { 2 } else { 1 });
-    println!(
-        "  post-swap: {} request(s) on the tuned plan, p99 {:.2} ms (generation {})",
-        post_swap_requests, tuned.metrics.total_latency.p99_ms, tuned.generation
-    );
-    let run = AutotuneRun {
-        model: name,
-        registered_budget: OVER_PROVISIONED_BUDGET,
-        report,
-        post_swap_requests,
-        post_swap_p99_ms: tuned.metrics.total_latency.p99_ms,
-        lifecycle: registry.control().counters(),
-    };
-    registry.shutdown();
     run
 }
 
@@ -1835,6 +1729,7 @@ fn run_trace_phase(spec_path: &str, s: &BenchSettings) -> TraceRun {
 }
 
 fn main() {
+    reject_unknown_flags();
     let out_path =
         std::env::var("SERVE_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".to_string());
     if bool_flag("--check-schema") {
@@ -1857,7 +1752,6 @@ fn main() {
     let backends = backend_selection();
     let models = models_selection();
     let keep_alive = bool_flag("--keep-alive");
-    let autotune = bool_flag("--autotune");
     let router_mode = bool_flag("--router");
     let qos_mode = bool_flag("--qos");
     let controller_mode = bool_flag("--controller");
@@ -1895,8 +1789,9 @@ fn main() {
         .iter()
         .map(|&kind| run_backend(&descriptor, &cache, kind, &settings))
         .collect();
-    // The kernels section reports the CPU backend's pool telemetry — the
-    // sim-GPU backend does not stage through the arena.
+    // The kernels section reports the CPU backend's pool telemetry, so its
+    // figures stay comparable with artifacts written before the sim-GPU
+    // backend also staged through the arena.
     let kernels = backends
         .iter()
         .zip(&measured)
@@ -1919,11 +1814,6 @@ fn main() {
     };
     let http = if keep_alive {
         Some(run_http_phase(&descriptor, &settings, true))
-    } else {
-        None
-    };
-    let autotune = if autotune {
-        Some(run_autotune(&settings))
     } else {
         None
     };
@@ -1960,7 +1850,6 @@ fn main() {
         runs,
         multi_model,
         http,
-        autotune,
         router,
         qos,
         trace,
@@ -2072,18 +1961,6 @@ fn main() {
                 ctrl.tuned_throughput_rps
             );
         }
-    }
-    if let Some(tune) = &artifact.autotune {
-        assert!(
-            tune.report.probes.len() >= 2,
-            "the search must probe at least both interval edges"
-        );
-        assert_eq!(tune.lifecycle.autotune_runs_total, 1);
-        assert_eq!(
-            tune.lifecycle.replans_total,
-            u64::from(tune.report.applied),
-            "an applied search is exactly one hot-swap"
-        );
     }
 
     let stats = cache.stats();

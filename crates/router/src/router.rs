@@ -4,11 +4,11 @@
 //! [`Router`] implements [`HttpHandler`], so it plugs straight into
 //! `tdc_serve::HttpServer::bind_with_handler` and speaks the identical
 //! HTTP/1.1 surface (`/v1/models/{name}/infer`, `/v1/models`, `/metrics`,
-//! `/healthz`, admin `PUT`/`DELETE`, `/replan`, `/autotune`). Data-path
+//! `/healthz`, admin `PUT`/`DELETE`, `/replan`, `/tune`). Data-path
 //! requests are forwarded to one replica chosen by the configured
 //! [`RoutingPolicy`], with failover on 429/503/connect errors that honours
 //! `Retry-After` hints and the request's remaining `deadline_ms` budget.
-//! Control-plane requests fan out to the whole fleet — `replan`/`autotune`
+//! Control-plane requests fan out to the whole fleet — `replan`/`tune`
 //! roll one replica at a time so serving capacity never drops below N−1.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -73,7 +73,6 @@ struct Counters {
     fleet_registers: AtomicU64,
     fleet_retires: AtomicU64,
     fleet_replans: AtomicU64,
-    fleet_autotunes: AtomicU64,
     fleet_tunes: AtomicU64,
     fleet_controller_updates: AtomicU64,
 }
@@ -141,8 +140,6 @@ pub struct RouterMetrics {
     pub fleet_retires_total: u64,
     /// Rolling replan fan-outs.
     pub fleet_replans_total: u64,
-    /// Rolling autotune fan-outs.
-    pub fleet_autotunes_total: u64,
     /// Rolling controller-tune fan-outs (`POST .../tune`).
     pub fleet_tunes_total: u64,
     /// Watch-loop config fan-outs (`PUT /v1/controller`).
@@ -182,8 +179,8 @@ pub struct FleetReplicaReply {
 }
 
 /// Aggregated result of a control-plane fan-out (`PUT`/`DELETE`,
-/// `/replan`, `/autotune`). The outer HTTP status is 200 only when every
-/// reached replica answered 200.
+/// `/replan`, `/tune`, `PUT /v1/controller`). The outer HTTP status is 200
+/// only when every reached replica answered 200.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FleetReply {
     /// Did every replica in the fan-out succeed?
@@ -329,7 +326,6 @@ impl Router {
             fleet_registers_total: c.fleet_registers.load(Ordering::SeqCst),
             fleet_retires_total: c.fleet_retires.load(Ordering::SeqCst),
             fleet_replans_total: c.fleet_replans.load(Ordering::SeqCst),
-            fleet_autotunes_total: c.fleet_autotunes.load(Ordering::SeqCst),
             fleet_tunes_total: c.fleet_tunes.load(Ordering::SeqCst),
             fleet_controller_updates_total: c.fleet_controller_updates.load(Ordering::SeqCst),
         }
@@ -483,7 +479,7 @@ impl Router {
     }
 
     /// Apply one control-plane request to the fleet, one replica at a time
-    /// in id order. With `stop_on_failure` (replan/autotune) the walk halts
+    /// in id order. With `stop_on_failure` (replan/tune) the walk halts
     /// at the first non-200 so at most one replica is ever mid-mutation —
     /// the rolling guarantee that keeps ≥ N−1 replicas serving. Without it
     /// (register/retire) every replica is attempted so the fleet converges
@@ -612,14 +608,6 @@ impl HttpHandler for Router {
                     self.forward_infer(model, post_path, body)
                 } else if action_path(post_path, "/replan").is_some() {
                     self.fleet_apply(method, post_path, Some(body), true, &counters.fleet_replans)
-                } else if action_path(post_path, "/autotune").is_some() {
-                    self.fleet_apply(
-                        method,
-                        post_path,
-                        Some(body),
-                        true,
-                        &counters.fleet_autotunes,
-                    )
                 } else if action_path(post_path, "/tune").is_some() {
                     // Controller tunes roll one replica at a time, halting
                     // at the first failure: each replica runs its own
@@ -873,6 +861,20 @@ mod tests {
         assert_eq!(action_path("/v1/models/hot/infer", "/infer"), Some("hot"));
         assert_eq!(action_path("/v1/models/hot/replan", "/replan"), Some("hot"));
         assert_eq!(action_path("/v1/models/hot/infer", "/replan"), None);
+    }
+
+    #[test]
+    fn unknown_admin_actions_answer_404_without_a_fan_out() {
+        let options = RouterOptions {
+            probe_interval: Duration::ZERO,
+            ..RouterOptions::default()
+        };
+        let router = Router::new(&["127.0.0.1:9104".parse().unwrap()], options);
+        let reply = router.handle("POST", "/v1/models/hot/autotune", "{}");
+        assert_eq!(reply.status, 404, "{}", reply.body);
+        let metrics = router.metrics();
+        assert_eq!(metrics.forwarded_total, 0);
+        assert_eq!(metrics.fleet_replans_total + metrics.fleet_tunes_total, 0);
     }
 
     #[test]

@@ -415,6 +415,19 @@ impl SimGpuBackend {
         reports.insert(batch_size, Arc::clone(&report));
         Ok(report)
     }
+
+    /// Attach the memoized simulated latency of a batch of `outputs.len()`.
+    fn simulated(&self, outputs: Vec<Tensor>) -> Result<BatchExecution> {
+        let simulated_gpu_ms = if outputs.is_empty() {
+            0.0
+        } else {
+            self.report_for(outputs.len())?.total_ms
+        };
+        Ok(BatchExecution {
+            outputs,
+            simulated_gpu_ms,
+        })
+    }
 }
 
 impl ExecutionBackend for SimGpuBackend {
@@ -439,15 +452,22 @@ impl ExecutionBackend for SimGpuBackend {
             .iter()
             .map(|x| self.model.forward(x))
             .collect::<Result<Vec<_>>>()?;
-        let simulated_gpu_ms = if outputs.is_empty() {
-            0.0
-        } else {
-            self.report_for(outputs.len())?.total_ms
-        };
-        Ok(BatchExecution {
-            outputs,
-            simulated_gpu_ms,
-        })
+        self.simulated(outputs)
+    }
+
+    /// The same arena hot path as [`CpuBackend::forward_batch_in`], with the
+    /// batch's simulated latency attached. Bit-identical to
+    /// [`SimGpuBackend::forward_batch`].
+    fn forward_batch_in(
+        &self,
+        inputs: &[&Tensor],
+        arena: &mut crate::arena::ScratchArena,
+    ) -> Result<BatchExecution> {
+        let outputs = inputs
+            .iter()
+            .map(|x| self.model.forward_in(x, arena))
+            .collect::<Result<Vec<_>>>()?;
+        self.simulated(outputs)
     }
 
     fn latency_report(&self, batch_size: usize) -> Result<BackendLatencyReport> {
@@ -519,6 +539,16 @@ mod tests {
         assert_eq!(a.outputs, b.outputs, "backends must agree bit-for-bit");
         assert_eq!(a.simulated_gpu_ms, 0.0);
         assert!(b.simulated_gpu_ms > 0.0);
+
+        // Both backends' arena paths match the allocating path bit for bit,
+        // and the simulated account does not depend on which path ran.
+        let mut arena = crate::arena::ScratchArena::new(Arc::new(crate::arena::BufferPool::new()));
+        let a_in = cpu.forward_batch_in(&refs, &mut arena).unwrap();
+        let b_in = sim.forward_batch_in(&refs, &mut arena).unwrap();
+        assert_eq!(a_in.outputs, a.outputs, "cpu arena path diverged");
+        assert_eq!(b_in.outputs, b.outputs, "sim-gpu arena path diverged");
+        assert_eq!(a_in.simulated_gpu_ms, a.simulated_gpu_ms);
+        assert_eq!(b_in.simulated_gpu_ms, b.simulated_gpu_ms);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The live control plane: hot model lifecycle, plan hot-swap and the
-//! SLO-driven budget autotuner.
+//! substrate of the SLO controller.
 //!
 //! Before this module existed the serving fleet was frozen at startup:
 //! registration needed `&mut ModelRegistry`, so once the HTTP server held the
@@ -28,14 +28,6 @@
 //!   old engine is *not* closed; it simply drains once the last snapshot
 //!   holder lets go), new requests ride the new plan: zero dropped requests
 //!   across the swap boundary, pinned by a bit-parity integration test.
-//! * **SLO autotuner** — [`ControlPlane::autotune`] turns the paper's core
-//!   premise (the compression plan is a tunable artifact derived from a
-//!   FLOPs budget) into an operational loop: bisect the budget over
-//!   `plan_with_config`, scoring each candidate with the sim-GPU backend's
-//!   wave-level latency account, until the estimated p99 meets a target SLO
-//!   — then apply the winning budget through the same hot-swap path. See
-//!   [`ControlPlane::autotune`] for the p99 estimator and search contract.
-//!
 //! * **Controller substrate** — the multi-dimensional SLO controller
 //!   (`tdc-ctrl`) plugs in here: [`ControlPlane::reconfigure_with`]
 //!   generalizes the replan hot-swap to the *whole* [`ModelConfig`] (budget,
@@ -54,10 +46,9 @@
 //!
 //! Everything here is driven over HTTP by [`crate::http`]'s admin routes
 //! (`PUT`/`DELETE /v1/models/{name}`, `POST /v1/models/{name}/replan`,
-//! `POST /v1/models/{name}/autotune`, `POST /v1/models/{name}/tune`,
-//! `GET`/`PUT /v1/controller`) and surfaced in `GET /metrics` as the
-//! table epoch plus register/retire/replan/autotune counters and the
-//! controller status block.
+//! `POST /v1/models/{name}/tune`, `GET`/`PUT /v1/controller`) and surfaced
+//! in `GET /metrics` as the table epoch plus register/retire/replan counters
+//! and the controller status block.
 
 use crate::batcher::PendingResponse;
 use crate::options::PlanningOptions;
@@ -86,10 +77,10 @@ use tdc_tensor::Tensor;
 /// when its last holder drops it.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Plans computed by autotune probes are memoized here, in a cache separate
-/// from the serving one: a single bisection plans ~10 one-shot budgets, and
-/// routing those through the serving cache would evict live models' plans
-/// and fill the eviction telemetry with probe noise.
+/// Plans computed by tune probes are memoized here, in a cache separate
+/// from the serving one: a single tune plans up to a dozen one-shot
+/// budgets, and routing those through the serving cache would evict live
+/// models' plans and fill the eviction telemetry with probe noise.
 const PROBE_CACHE_CAPACITY: usize = 32;
 
 /// An RCU-style epoch-swapped value: readers take cheap `Arc` snapshots,
@@ -168,7 +159,7 @@ pub(crate) struct RouteTotals {
 }
 
 /// One routed model: its engine plus everything needed to re-derive it
-/// (descriptor and config, for replan/autotune) and its admission telemetry.
+/// (descriptor and config, for replan/tune) and its admission telemetry.
 pub(crate) struct RegisteredModel {
     pub(crate) engine: ServeEngine,
     pub(crate) descriptor: ModelDescriptor,
@@ -286,17 +277,15 @@ impl Deref for EngineHandle {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct LifecycleCounters {
     /// Table epoch: how many times the routing table has been swapped
-    /// (register + retire + replan, including autotuner-applied replans).
+    /// (register + retire + replan, including tune-applied swaps).
     pub epoch: u64,
     /// Models registered over the process lifetime.
     pub models_registered_total: u64,
     /// Models retired over the process lifetime.
     pub models_retired_total: u64,
-    /// Plan hot-swaps over the process lifetime (including those the
-    /// autotuner applied).
+    /// Plan hot-swaps over the process lifetime (including those a tune
+    /// applied).
     pub replans_total: u64,
-    /// Autotune searches run over the process lifetime.
-    pub autotune_runs_total: u64,
 }
 
 /// The outcome of one plan hot-swap, serialized verbatim as the
@@ -328,71 +317,6 @@ pub struct ReplanReport {
     /// including everything that was in flight at the swap, all of which was
     /// served before the engine was freed.
     pub drained_completed_requests: u64,
-}
-
-/// Parameters of one autotune search.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AutotuneRequest {
-    /// The SLO: target p99 end-to-end latency, milliseconds.
-    pub target_p99_ms: f64,
-    /// Lower edge of the budget search interval.
-    pub min_budget: f64,
-    /// Upper edge (the deliberately over-provisioned starting point);
-    /// defaults to the model's current budget when `None`.
-    pub max_budget: Option<f64>,
-    /// Bisection stops once the interval is narrower than this.
-    pub resolution: f64,
-    /// Whether to apply the winning budget via the hot-swap path.
-    pub apply: bool,
-}
-
-impl AutotuneRequest {
-    /// A search for `target_p99_ms` with the default interval
-    /// (`[0.02, current budget]`), resolution `0.01`, and apply-on-converge.
-    pub fn new(target_p99_ms: f64) -> Self {
-        AutotuneRequest {
-            target_p99_ms,
-            min_budget: 0.02,
-            max_budget: None,
-            resolution: 0.01,
-            apply: true,
-        }
-    }
-}
-
-/// One probed budget and its estimated p99.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AutotuneProbe {
-    /// The budget that was planned and scored.
-    pub budget: f64,
-    /// The sim-GPU p99 estimate at that budget, ms.
-    pub estimated_p99_ms: f64,
-}
-
-/// The outcome of one autotune search, serialized verbatim as the
-/// `POST /v1/models/{name}/autotune` reply and recorded in
-/// `BENCH_serve.json`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AutotuneReport {
-    /// Routed model name.
-    pub model: String,
-    /// The SLO the search targeted, ms.
-    pub target_p99_ms: f64,
-    /// The over-provisioned budget the search started from.
-    pub start_budget: f64,
-    /// The winning budget: the largest probed budget whose estimate meets
-    /// the target (or the start budget when nothing does).
-    pub final_budget: f64,
-    /// The estimated p99 at `final_budget`, ms.
-    pub achieved_p99_ms: f64,
-    /// Whether a budget meeting the target was found inside the interval.
-    pub converged: bool,
-    /// Whether the winning budget was applied via the hot-swap path.
-    pub applied: bool,
-    /// The model's plan generation after the search (bumped iff applied).
-    pub generation: u64,
-    /// Every `(budget, estimate)` pair the search evaluated, in probe order.
-    pub probes: Vec<AutotuneProbe>,
 }
 
 /// The four knobs the SLO controller tunes jointly, extracted from (and
@@ -767,7 +691,7 @@ fn report_snapshot(engine: &ServeEngine) -> ServeReport {
 /// mutex at all.
 pub struct ControlPlane {
     cache: PlanCache,
-    /// Memoizes autotune probe plans, separately from the serving cache
+    /// Memoizes tune probe plans, separately from the serving cache
     /// (see [`PROBE_CACHE_CAPACITY`]).
     probe_cache: PlanCache,
     /// The fleet-wide work-stealing executor every registered engine runs
@@ -782,7 +706,6 @@ pub struct ControlPlane {
     registered_total: AtomicU64,
     retired_total: AtomicU64,
     replans_total: AtomicU64,
-    autotune_runs_total: AtomicU64,
     /// Requests completed by engines that have since been drained (replans
     /// and retires), so the fleet-wide completed total in `/metrics` stays
     /// monotonic across lifecycle operations instead of dropping with every
@@ -828,7 +751,6 @@ impl ControlPlane {
             registered_total: AtomicU64::new(0),
             retired_total: AtomicU64::new(0),
             replans_total: AtomicU64::new(0),
-            autotune_runs_total: AtomicU64::new(0),
             drained_completed_total: AtomicU64::new(0),
             drained_deadline_exceeded_total: AtomicU64::new(0),
             driver: Mutex::new(None),
@@ -865,8 +787,7 @@ impl ControlPlane {
         }
     }
 
-    /// The shared plan cache every registration and autotune probe plans
-    /// through.
+    /// The shared plan cache every registration and replan plans through.
     pub fn cache(&self) -> &PlanCache {
         &self.cache
     }
@@ -912,7 +833,6 @@ impl ControlPlane {
             models_registered_total: self.registered_total.load(Ordering::Relaxed),
             models_retired_total: self.retired_total.load(Ordering::Relaxed),
             replans_total: self.replans_total.load(Ordering::Relaxed),
-            autotune_runs_total: self.autotune_runs_total.load(Ordering::Relaxed),
         }
     }
 
@@ -1085,9 +1005,9 @@ impl ControlPlane {
     /// [`ControlPlane::replan`], deriving the new planning options from the
     /// model's *current* ones **under the writer lock**: `update` receives
     /// the options the route is serving with at swap time. This is how
-    /// partial updates (the HTTP route's budget/rank-step/θ overrides, the
-    /// autotuner's budget application) compose with concurrent admin
-    /// operations instead of clobbering them from a stale snapshot.
+    /// partial updates (the HTTP route's budget/rank-step/θ overrides) compose
+    /// with concurrent admin operations instead of clobbering them from a
+    /// stale snapshot.
     pub fn replan_with(
         &self,
         name: &str,
@@ -1184,24 +1104,6 @@ impl ControlPlane {
         })
     }
 
-    /// Estimate the p99 end-to-end latency `name` would serve at `budget`:
-    /// plan at that budget (through the shared cache, under the sim-GPU
-    /// key), lower the plan to kernel-launch sequences at the model's full
-    /// batch size, replay them on the wave engine, and add the configured
-    /// batch-formation delay. Full-batch service time plus maximum batching
-    /// wait is the tail a saturated open-loop workload converges to, which
-    /// is what an SLO bounds.
-    pub fn estimate_sim_p99_ms(&self, name: &str, budget: f64) -> Result<f64> {
-        let entry = self.lookup(name)?;
-        self.estimate_for(&entry, budget)
-    }
-
-    fn estimate_for(&self, entry: &RegisteredModel, budget: f64) -> Result<f64> {
-        let mut knobs = KnobSet::of(&entry.config);
-        knobs.flops_budget = budget;
-        Ok(self.estimate_entry(entry, &knobs)?.p99_ms)
-    }
-
     /// Score an arbitrary [`KnobSet`] for `name` on the wave simulator —
     /// the controller's objective function. Planning happens at
     /// `knobs.flops_budget` (through the probe cache, under the sim-GPU
@@ -1240,7 +1142,7 @@ impl ControlPlane {
         let device = planning.device.clone();
         let strategy = planning.strategy;
         // Probe plans are one-shot per budget: memoize them in the probe
-        // cache so a bisection can never evict live models' plans from the
+        // cache so a tune can never evict live models' plans from the
         // serving cache or drown its eviction telemetry in probe keys.
         let (plan, _) = self.probe_cache.get_or_compute(&key, || {
             TdcPipeline::new(device.clone(), strategy)
@@ -1273,137 +1175,6 @@ impl ControlPlane {
             exec_ms,
             p99_ms,
             throughput_rps,
-        })
-    }
-
-    /// Search for the **largest** FLOPs budget (the most demanded
-    /// compression) whose estimated sim-GPU p99 still meets
-    /// `request.target_p99_ms`, then (by default) apply it through the
-    /// hot-swap path.
-    ///
-    /// The budget is the *required* FLOPs reduction, so raising it shrinks
-    /// the admissible rank set — the fastest-admissible plan can only get
-    /// slower, and past the feasibility cliff layers fall back to dense
-    /// (Algorithm 1's `NoAdmissibleRank`), which is slower still. The
-    /// modelled p99 is therefore non-decreasing in the budget, and the
-    /// search bisects `[min_budget, max_budget]` (budgets quantized to 1e-3
-    /// so probes land on stable plan-cache keys) maintaining the invariant
-    /// `p99(lo) ≤ target < p99(hi)`. Starting from a deliberately
-    /// over-provisioned budget — one demanding more reduction than the SLO
-    /// tolerates — the loop converges onto the *most* compression that
-    /// still meets the target: the operating point the paper's
-    /// tunable-artifact premise asks for. When even `min_budget` misses the
-    /// target the report comes back `converged: false` with nothing
-    /// applied; when the over-provisioned start already meets it, the start
-    /// itself wins.
-    pub fn autotune(&self, name: &str, request: &AutotuneRequest) -> Result<AutotuneReport> {
-        if !request.target_p99_ms.is_finite() || request.target_p99_ms <= 0.0 {
-            return Err(ServeError::BadConfig {
-                reason: format!(
-                    "autotune target_p99_ms {} must be finite and positive",
-                    request.target_p99_ms
-                ),
-            });
-        }
-        if !request.resolution.is_finite() || request.resolution <= 0.0 {
-            return Err(ServeError::BadConfig {
-                reason: "autotune resolution must be finite and positive".into(),
-            });
-        }
-        let round3 = |b: f64| (b * 1e3).round() / 1e3;
-        let entry = self.lookup(name)?;
-        let current_budget = entry.config.planning.budget;
-        let start = round3(request.max_budget.unwrap_or(current_budget));
-        let lo_edge = round3(request.min_budget);
-        if !(0.0..1.0).contains(&lo_edge) || !(0.0..1.0).contains(&start) || lo_edge >= start {
-            return Err(ServeError::BadConfig {
-                reason: format!(
-                    "autotune interval [{lo_edge}, {start}] must satisfy \
-                     0 <= min_budget < max_budget < 1"
-                ),
-            });
-        }
-
-        let mut probes: Vec<AutotuneProbe> = Vec::new();
-        let target = request.target_p99_ms;
-        let start_estimate = self.estimate_for(&entry, start)?;
-        probes.push(AutotuneProbe {
-            budget: start,
-            estimated_p99_ms: start_estimate,
-        });
-        let (final_budget, converged) = if start_estimate <= target {
-            // The "over-provisioned" start already meets the SLO: nothing in
-            // the interval demands more compression than it does.
-            (start, true)
-        } else {
-            let lo_estimate = self.estimate_for(&entry, lo_edge)?;
-            probes.push(AutotuneProbe {
-                budget: lo_edge,
-                estimated_p99_ms: lo_estimate,
-            });
-            if lo_estimate > target {
-                // Even the most conservative budget misses the SLO: the p99
-                // estimate is non-decreasing in the budget, so nothing in
-                // the interval can meet it.
-                (start, false)
-            } else {
-                // Invariant: p99(lo) ≤ target < p99(hi). Converge onto the
-                // boundary and return its feasible side.
-                let (mut lo, mut hi) = (lo_edge, start);
-                while hi - lo > request.resolution {
-                    let mid = round3((lo + hi) / 2.0);
-                    if mid <= lo || mid >= hi {
-                        break;
-                    }
-                    let estimate = self.estimate_for(&entry, mid)?;
-                    probes.push(AutotuneProbe {
-                        budget: mid,
-                        estimated_p99_ms: estimate,
-                    });
-                    if estimate <= target {
-                        lo = mid;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                (lo, true)
-            }
-        };
-        let achieved_p99_ms = probes
-            .iter()
-            .find(|p| p.budget == final_budget)
-            .map(|p| p.estimated_p99_ms)
-            .unwrap_or(start_estimate);
-        let mut generation = entry.info.generation;
-        // Release our table-snapshot handle before replanning: the hot-swap
-        // waits for exclusive ownership of the old entry, and this very
-        // reference would otherwise be the holdout.
-        drop(entry);
-
-        let mut applied = false;
-        if request.apply && converged && (final_budget - current_budget).abs() > f64::EPSILON {
-            // Apply through the merge-under-lock path: only the budget is
-            // overridden, so a concurrent admin update to any other planning
-            // field composes instead of being clobbered by our pre-search
-            // snapshot.
-            let report = self.replan_with(name, move |mut planning| {
-                planning.budget = final_budget;
-                planning
-            })?;
-            generation = report.generation;
-            applied = true;
-        }
-        self.autotune_runs_total.fetch_add(1, Ordering::Relaxed);
-        Ok(AutotuneReport {
-            model: name.to_string(),
-            target_p99_ms: target,
-            start_budget: start,
-            final_budget,
-            achieved_p99_ms,
-            converged,
-            applied,
-            generation,
-            probes,
         })
     }
 
@@ -1859,91 +1630,6 @@ mod tests {
             "a rejection recorded through the draining old entry must \
              surface on the live route counter"
         );
-        plane.shutdown_all();
-    }
-
-    #[test]
-    fn autotune_converges_from_an_over_provisioned_budget() {
-        let plane = plane();
-        let descriptor = serving_descriptor("ctl-tune", 12, 8, 10);
-        let over_provisioned = ModelConfig {
-            planning: PlanningOptions {
-                budget: 0.9,
-                ..PlanningOptions::default()
-            },
-            runtime: crate::options::RuntimeOptions {
-                backend: crate::backend::BackendKind::SimGpu,
-                ..crate::options::RuntimeOptions::default()
-            },
-            ..quick_config()
-        };
-        plane
-            .register("tune", &descriptor, over_provisioned)
-            .unwrap();
-
-        // The SLO: what a mid-range, feasible budget delivers. The
-        // over-provisioned 0.9 start demands so much reduction that layers
-        // fall back to dense (slower), missing this target — the search must
-        // walk the budget down to the feasible side of the cliff.
-        let target = plane.estimate_sim_p99_ms("tune", 0.45).unwrap();
-        let report = plane
-            .autotune("tune", &AutotuneRequest::new(target))
-            .unwrap();
-        assert!(report.converged, "{report:?}");
-        assert!(report.applied, "{report:?}");
-        assert!(
-            report.final_budget < report.start_budget,
-            "the search must walk down from the over-provisioned start: {report:?}"
-        );
-        assert!(
-            report.achieved_p99_ms <= target,
-            "achieved {:.4} ms must meet the target {:.4} ms",
-            report.achieved_p99_ms,
-            target
-        );
-        assert!(report.probes.len() >= 3);
-        assert_eq!(report.generation, 2, "the winning budget was hot-swapped");
-
-        // The served model now carries the tuned budget and keeps serving.
-        let handle = plane.engine("tune").unwrap();
-        assert_eq!(handle.info().budget, report.final_budget);
-        let response = handle
-            .infer(tdc_tensor::Tensor::zeros(vec![12, 12, 8]))
-            .unwrap();
-        assert_eq!(response.output.dims(), &[10]);
-        assert_eq!(plane.counters().autotune_runs_total, 1);
-        drop(handle);
-
-        // An impossible SLO refuses to converge and applies nothing.
-        let impossible = plane.autotune("tune", &AutotuneRequest::new(1e-6)).unwrap();
-        assert!(!impossible.converged && !impossible.applied);
-        plane.shutdown_all();
-    }
-
-    #[test]
-    fn autotune_rejects_degenerate_requests() {
-        let plane = plane();
-        let descriptor = serving_descriptor("ctl-tune-bad", 8, 4, 4);
-        plane.register("t", &descriptor, quick_config()).unwrap();
-        for bad in [f64::NAN, 0.0, -1.0] {
-            assert!(matches!(
-                plane.autotune("t", &AutotuneRequest::new(bad)),
-                Err(ServeError::BadConfig { .. })
-            ));
-        }
-        let inverted = AutotuneRequest {
-            min_budget: 0.8,
-            max_budget: Some(0.2),
-            ..AutotuneRequest::new(10.0)
-        };
-        assert!(matches!(
-            plane.autotune("t", &inverted),
-            Err(ServeError::BadConfig { .. })
-        ));
-        assert!(matches!(
-            plane.autotune("ghost", &AutotuneRequest::new(10.0)),
-            Err(ServeError::UnknownModel { .. })
-        ));
         plane.shutdown_all();
     }
 }

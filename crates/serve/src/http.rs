@@ -39,7 +39,6 @@
 //! | `PUT`    | `/v1/models/{name}`           | register from a JSON [`RegisterBody`] (descriptor + options) |
 //! | `DELETE` | `/v1/models/{name}`           | graceful retire: unroute, drain, free — final counters |
 //! | `POST`   | `/v1/models/{name}/replan`    | re-plan at a new budget and hot-swap ([`ReplanReport`](crate::control::ReplanReport)) |
-//! | `POST`   | `/v1/models/{name}/autotune`  | SLO budget search ([`AutotuneReport`](crate::control::AutotuneReport)) |
 //! | `POST`   | `/v1/models/{name}/tune`      | joint knob tune through the controller ([`TuneReport`](crate::control::TuneReport)) |
 //! | `GET`    | `/v1/controller`              | controller status ([`ControllerStatus`](crate::control::ControllerStatus)) |
 //! | `PUT`    | `/v1/controller`              | merge a partial [`ControllerBody`] onto the watch-loop config |
@@ -76,7 +75,7 @@
 
 use crate::arena::BufferPool;
 use crate::batcher::InferenceResponse;
-use crate::control::{AutotuneRequest, ControllerConfig, TuneRequest};
+use crate::control::{ControllerConfig, TuneRequest};
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
 use crate::registry::{ModelConfig, ModelRegistry};
 use crate::{BackendKind, Result, ServeError};
@@ -418,78 +417,6 @@ impl Deserialize for ReplanBody {
             budget: f64::from_value(budget)?,
             rank_step: optional_field(value, "rank_step")?,
             theta: optional_field(value, "theta")?,
-        })
-    }
-}
-
-/// JSON body of `POST /v1/models/{name}/autotune`: the target SLO plus
-/// optional search-interval overrides (see
-/// [`AutotuneRequest`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AutotuneBody {
-    /// Target p99 end-to-end latency, ms.
-    pub target_p99_ms: f64,
-    /// Lower edge of the budget interval (default 0.02).
-    pub min_budget: Option<f64>,
-    /// Upper, over-provisioned edge (default: the model's current budget).
-    pub max_budget: Option<f64>,
-    /// Bisection resolution in budget units (default 0.01).
-    pub resolution: Option<f64>,
-    /// Whether to hot-swap the winning budget in (default true).
-    pub apply: Option<bool>,
-}
-
-impl AutotuneBody {
-    /// Resolve into the control plane's request, filling gaps with
-    /// [`AutotuneRequest::new`]'s defaults.
-    pub fn request(&self) -> AutotuneRequest {
-        let defaults = AutotuneRequest::new(self.target_p99_ms);
-        AutotuneRequest {
-            target_p99_ms: self.target_p99_ms,
-            min_budget: self.min_budget.unwrap_or(defaults.min_budget),
-            max_budget: self.max_budget,
-            resolution: self.resolution.unwrap_or(defaults.resolution),
-            apply: self.apply.unwrap_or(defaults.apply),
-        }
-    }
-}
-
-impl Serialize for AutotuneBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("target_p99_ms".to_string(), self.target_p99_ms.to_value())];
-        let mut push_opt = |name: &str, value: Option<serde::Value>| {
-            if let Some(value) = value {
-                fields.push((name.to_string(), value));
-            }
-        };
-        push_opt(
-            "min_budget",
-            self.min_budget.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "max_budget",
-            self.max_budget.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "resolution",
-            self.resolution.as_ref().map(Serialize::to_value),
-        );
-        push_opt("apply", self.apply.as_ref().map(Serialize::to_value));
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for AutotuneBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let target = value.get("target_p99_ms").ok_or_else(|| {
-            serde::Error::custom("missing field `target_p99_ms` in autotune body")
-        })?;
-        Ok(AutotuneBody {
-            target_p99_ms: f64::from_value(target)?,
-            min_budget: optional_field(value, "min_budget")?,
-            max_budget: optional_field(value, "max_budget")?,
-            resolution: optional_field(value, "resolution")?,
-            apply: optional_field(value, "apply")?,
         })
     }
 }
@@ -1395,21 +1322,6 @@ fn replan_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     }
 }
 
-/// `POST /v1/models/{name}/autotune` — SLO-driven budget search.
-fn autotune_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
-    let parsed = match serde_json::parse_value(body)
-        .and_then(|value| AutotuneBody::from_value(&value))
-        .map_err(bad_body)
-    {
-        Ok(parsed) => parsed,
-        Err(e) => return serve_error_routed(registry, Some(name), &e),
-    };
-    match registry.autotune(name, &parsed.request()) {
-        Ok(report) => json_routed(200, &report),
-        Err(e) => serve_error_routed(registry, Some(name), &e),
-    }
-}
-
 /// `POST /v1/models/{name}/tune` — one controller tune (joint knob search
 /// through the installed [`TuneDriver`](crate::control::TuneDriver)). An
 /// empty body runs with defaults.
@@ -1480,8 +1392,6 @@ pub fn route_full(registry: &ModelRegistry, method: &str, path: &str, body: &str
                 }
             } else if let Some(model) = action_path(post_path, "/replan") {
                 replan_model(registry, model, body)
-            } else if let Some(model) = action_path(post_path, "/autotune") {
-                autotune_model(registry, model, body)
             } else if let Some(model) = action_path(post_path, "/tune") {
                 tune_model(registry, model, body)
             } else {
@@ -2580,6 +2490,9 @@ mod tests {
         assert_eq!(status, 404);
         let (status, _) = route(&registry, "POST", "/v1/models//replan", "{}");
         assert_eq!(status, 404);
+        // The retired budget-bisection route is gone, not aliased.
+        let (status, _) = route(&registry, "POST", "/v1/models/mini/autotune", "{}");
+        assert_eq!(status, 404);
     }
 
     #[test]
@@ -2792,20 +2705,56 @@ mod tests {
         assert_eq!(serde_json::from_str::<ReplanBody>(&text).unwrap(), replan);
         assert!(serde_json::from_str::<ReplanBody>("{}").is_err());
 
-        let tune = AutotuneBody {
-            target_p99_ms: 12.5,
-            min_budget: None,
-            max_budget: Some(0.8),
-            resolution: None,
-            apply: Some(false),
+        let tune = TuneBody {
+            target_p99_ms: Some(12.5),
+            apply: None,
+            max_rounds: Some(2),
         };
         let text = serde_json::to_string(&tune).unwrap();
-        assert_eq!(serde_json::from_str::<AutotuneBody>(&text).unwrap(), tune);
+        assert!(
+            !text.contains("apply"),
+            "absent fields stay off the wire: {text}"
+        );
+        assert_eq!(serde_json::from_str::<TuneBody>(&text).unwrap(), tune);
         let request = tune.request();
-        assert_eq!(request.min_budget, 0.02, "defaults fill the gaps");
-        assert_eq!(request.max_budget, Some(0.8));
-        assert!(!request.apply);
-        assert!(serde_json::from_str::<AutotuneBody>("{}").is_err());
+        assert!(request.apply, "defaults fill the gaps");
+        assert_eq!(request.target_p99_ms, Some(12.5));
+        assert_eq!(request.max_rounds, 2);
+        assert_eq!(
+            serde_json::from_str::<TuneBody>("{}").unwrap(),
+            TuneBody::default()
+        );
+
+        let controller = ControllerBody {
+            enabled: Some(true),
+            interval_ms: None,
+            drift_band_frac: Some(0.2),
+            min_samples: None,
+        };
+        let text = serde_json::to_string(&controller).unwrap();
+        assert!(
+            !text.contains("interval_ms") && !text.contains("min_samples"),
+            "absent fields stay off the wire: {text}"
+        );
+        assert_eq!(
+            serde_json::from_str::<ControllerBody>(&text).unwrap(),
+            controller
+        );
+        assert_eq!(
+            serde_json::from_str::<ControllerBody>("{}").unwrap(),
+            ControllerBody::default()
+        );
+        let live = ControllerConfig {
+            interval_ms: 250,
+            min_samples: 7,
+            ..ControllerConfig::default()
+        };
+        let merged = controller.merged_onto(live);
+        assert!(merged.enabled);
+        assert_eq!(merged.drift_band_frac, 0.2);
+        assert_eq!(merged.interval_ms, 250, "unset fields keep the live value");
+        assert_eq!(merged.min_samples, 7, "unset fields keep the live value");
+        assert_eq!(ControllerBody::default().merged_onto(live), live);
     }
 
     #[test]

@@ -36,12 +36,13 @@
 //!   table makes the registry shareable (`&self` registration/retirement
 //!   behind an `Arc`; readers never block on writers), with graceful
 //!   retire, atomic plan hot-swap ([`ControlPlane::replan`]) and the
-//!   SLO-driven budget autotuner ([`ControlPlane::autotune`]).
+//!   controller substrate behind [`ControlPlane::tune`].
 //! * [`http`] — a dependency-free HTTP/1.1 front end on
 //!   `std::net::TcpListener` exposing the registry at
 //!   `POST /v1/models/{name}/infer`, `GET /v1/models`, `GET /metrics` and
 //!   `GET /healthz`, plus the admin routes `PUT`/`DELETE /v1/models/{name}`,
-//!   `POST /v1/models/{name}/replan` and `POST /v1/models/{name}/autotune`.
+//!   `POST /v1/models/{name}/replan`, `POST /v1/models/{name}/tune` and
+//!   `GET`/`PUT /v1/controller`.
 //!
 //! The `serve_http` binary is the HTTP daemon; the `serve_bench` binary
 //! (hosted by the `tdc-router` crate so it can also benchmark routed
@@ -97,10 +98,9 @@ pub use batcher::{
     BatchQueue, DequeuedBatch, InferenceRequest, InferenceResponse, PendingResponse,
 };
 pub use control::{
-    AutotuneProbe, AutotuneReport, AutotuneRequest, ControlPlane, ControllerConfig,
-    ControllerStatus, ControllerWatch, EngineHandle, EpochSwap, KnobEstimate, KnobSet,
-    LifecycleCounters, MeasuredSlo, ModelControllerStatus, ReplanReport, TickReport, TuneDriver,
-    TuneProbe, TuneReport, TuneRequest,
+    ControlPlane, ControllerConfig, ControllerStatus, ControllerWatch, EngineHandle, EpochSwap,
+    KnobEstimate, KnobSet, LifecycleCounters, MeasuredSlo, ModelControllerStatus, ReplanReport,
+    TickReport, TuneDriver, TuneProbe, TuneReport, TuneRequest,
 };
 pub use http::{HealthReply, HttpClient, HttpHandler, HttpServer, RoutedResponse, ShutdownSignal};
 pub use metrics::{LatencySummary, ServeMetrics};

@@ -13,7 +13,7 @@
 //! [`register`](ModelRegistry::register),
 //! [`retire`](ModelRegistry::retire) and the plan hot-swap
 //! ([`replan`](ModelRegistry::replan) /
-//! [`autotune`](ModelRegistry::autotune)) — takes `&self`. A registry behind
+//! [`tune`](ModelRegistry::tune)) — takes `&self`. A registry behind
 //! an `Arc`, with an HTTP server attached, can gain, lose and re-plan models
 //! while serving; readers never block on writers (see [`crate::control`]).
 //!
@@ -25,7 +25,7 @@
 //! instead of queueing without bound. [`ModelRegistry::metrics`] aggregates
 //! every model's [`ServeMetrics`] plus the rejection counters, the
 //! control-plane lifecycle counters (table epoch, registers, retires,
-//! replans, autotune runs) and the shared plan cache's telemetry into one
+//! replans) and the shared plan cache's telemetry into one
 //! [`RegistryMetrics`] snapshot, which is what the HTTP front end
 //! ([`crate::http`]) serializes at `GET /metrics`.
 //!
@@ -36,9 +36,8 @@
 use crate::arena::PoolStats;
 use crate::batcher::{InferenceResponse, PendingResponse};
 use crate::control::{
-    AutotuneReport, AutotuneRequest, ControlPlane, ControllerConfig, ControllerStatus,
-    ControllerWatch, EngineHandle, KnobEstimate, KnobSet, MeasuredSlo, ReplanReport, TickReport,
-    TuneDriver, TuneReport, TuneRequest,
+    ControlPlane, ControllerConfig, ControllerStatus, ControllerWatch, EngineHandle, KnobEstimate,
+    KnobSet, MeasuredSlo, ReplanReport, TickReport, TuneDriver, TuneReport, TuneRequest,
 };
 use crate::metrics::ServeMetrics;
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
@@ -66,7 +65,7 @@ pub struct ModelConfig {
     pub runtime: RuntimeOptions,
     /// Optional backend interposer (fault injection, call recording),
     /// applied to every engine built for this model — including the rebuilt
-    /// engines a replan or autotune hot-swaps in, so a harness wrapper
+    /// engines a replan or tune hot-swaps in, so a harness wrapper
     /// survives plan rotations. `None` (the default) serves the bare
     /// backend.
     pub backend_wrapper: Option<Arc<dyn crate::backend::BackendWrapper>>,
@@ -108,7 +107,7 @@ pub struct ModelInfo {
     /// Convolution layers in the plan.
     pub conv_layers: usize,
     /// FLOPs budget the served plan was selected under (what
-    /// [`replan`](ModelRegistry::replan) and the autotuner adjust).
+    /// [`replan`](ModelRegistry::replan) and a tune adjust).
     pub budget: f64,
     /// FLOPs reduction the plan achieved.
     pub achieved_flops_reduction: f64,
@@ -199,8 +198,6 @@ pub struct RegistryMetrics {
     pub models_retired_total: u64,
     /// Plan hot-swaps over the process lifetime.
     pub replans_total: u64,
-    /// Autotune searches over the process lifetime.
-    pub autotune_runs_total: u64,
     /// Shared plan cache counters, per-key hit counts and the evicted-key
     /// log.
     pub plan_cache: PlanCacheStats,
@@ -276,7 +273,7 @@ impl ModelRegistry {
     }
 
     /// The control plane this registry routes through: the epoch-swapped
-    /// table, lifecycle counters and the autotuner.
+    /// table, lifecycle counters and the controller ledger.
     pub fn control(&self) -> &ControlPlane {
         &self.control
     }
@@ -334,20 +331,6 @@ impl ModelRegistry {
         update: impl FnOnce(PlanningOptions) -> PlanningOptions,
     ) -> Result<ReplanReport> {
         self.control.replan_with(name, update)
-    }
-
-    /// Search for the largest FLOPs budget meeting `request`'s p99 target
-    /// and (by default) apply it via the hot-swap path. See
-    /// [`ControlPlane::autotune`].
-    pub fn autotune(&self, name: &str, request: &AutotuneRequest) -> Result<AutotuneReport> {
-        self.control.autotune(name, request)
-    }
-
-    /// Estimate the sim-GPU p99 `name` would serve at `budget` (the
-    /// autotuner's scoring function). See
-    /// [`ControlPlane::estimate_sim_p99_ms`].
-    pub fn estimate_sim_p99_ms(&self, name: &str, budget: f64) -> Result<f64> {
-        self.control.estimate_sim_p99_ms(name, budget)
     }
 
     /// Hot-swap `name`'s whole [`ModelConfig`] (budget, batch shape,
@@ -564,7 +547,6 @@ impl ModelRegistry {
             models_registered_total: lifecycle.models_registered_total,
             models_retired_total: lifecycle.models_retired_total,
             replans_total: lifecycle.replans_total,
-            autotune_runs_total: lifecycle.autotune_runs_total,
             plan_cache: self.control.cache().stats(),
             executor: self.control.executor_metrics(),
             controller: self.control.controller_status(),

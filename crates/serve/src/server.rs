@@ -151,7 +151,7 @@ impl<'a> ServeEngineBuilder<'a> {
     /// call recording): the engine executes on whatever
     /// [`BackendWrapper::wrap`] returns, and the warmup probe runs through
     /// the wrapped chain. [`ModelConfig`](crate::ModelConfig) can carry a
-    /// wrapper so registry rebuilds (replan, autotune) re-apply it.
+    /// wrapper so registry rebuilds (replan, tune) re-apply it.
     pub fn wrap_backend(mut self, wrapper: Arc<dyn BackendWrapper>) -> Self {
         self.wrapper = Some(wrapper);
         self
