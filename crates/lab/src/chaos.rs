@@ -156,7 +156,7 @@ fn backend_fault_scenario(
     }
 }
 
-/// Worker panic inside `forward_batch`: the engine's unwind containment
+/// Worker panic inside `forward_batch_in`: the engine's unwind containment
 /// turns a panicking backend into per-request typed `ExecutionFailed`,
 /// the worker survives, and after the panic budget drains the engine
 /// serves bit-identically to a never-faulted one.
@@ -168,7 +168,7 @@ pub fn worker_panic_recovers() -> ChaosReport {
     )
 }
 
-/// Backend error storm: `forward_batch` returns typed errors for a
+/// Backend error storm: `forward_batch_in` returns typed errors for a
 /// stretch of batches; clients see `ExecutionFailed` only, and the
 /// stream heals bit-identically.
 pub fn error_storm_recovers() -> ChaosReport {

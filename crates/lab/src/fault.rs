@@ -12,12 +12,12 @@
 //!
 //! Three fault shapes, matching the ways a real executor degrades:
 //!
-//! * **panic** — `forward_batch` panics, exercising the engine's
+//! * **panic** — `forward_batch_in` panics, exercising the engine's
 //!   worker-side unwind containment;
-//! * **error storm** — `forward_batch` returns typed
+//! * **error storm** — `forward_batch_in` returns typed
 //!   `ServeError::ExecutionFailed`, exercising the per-request failure
 //!   path;
-//! * **delay** — `forward_batch` stalls for a scripted duration before
+//! * **delay** — `forward_batch_in` stalls for a scripted duration before
 //!   delegating: the replica stays *correct* but slow, which is how
 //!   brown-outs actually present. Delay faults raise measured latency
 //!   without corrupting outputs, so they exercise latency-driven
@@ -26,13 +26,15 @@
 //!
 //! Either way the invariant under test is the same: clients only ever
 //! see *typed* errors (or slow successes), and the engine's counters
-//! still reconcile.
+//! still reconcile. Pass-through batches hand the worker's arena on to the
+//! real backend, so a wrapped engine runs the same zero-allocation path as
+//! a bare one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tdc_serve::backend::{BackendLatencyReport, BackendWrapper, BatchExecution, ExecutionBackend};
-use tdc_serve::ServeError;
+use tdc_serve::{ScratchArena, ServeError};
 use tdc_tensor::Tensor;
 
 /// The armed fault budget.
@@ -88,7 +90,7 @@ impl FaultInjector {
         *guard = mode;
     }
 
-    /// Arm the injector to panic inside `forward_batch` for the next
+    /// Arm the injector to panic inside `forward_batch_in` for the next
     /// `count` batches, then disarm itself.
     pub fn arm_panics(&self, count: u32) {
         self.set_mode(FaultMode::Panic(count));
@@ -100,7 +102,7 @@ impl FaultInjector {
         self.set_mode(FaultMode::Error(count));
     }
 
-    /// Arm the injector to stall `forward_batch` for `delay` on each of
+    /// Arm the injector to stall `forward_batch_in` for `delay` on each of
     /// the next `count` batches, then disarm itself. Outputs stay
     /// bit-correct — the batch is merely late — so this is the brown-out
     /// fault: it drives measured p99 up for latency-sensitive machinery
@@ -217,9 +219,13 @@ impl ExecutionBackend for FaultBackend {
         self.inner.warmup()
     }
 
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution, ServeError> {
+    fn forward_batch_in(
+        &self,
+        inputs: &[&Tensor],
+        arena: &mut ScratchArena,
+    ) -> Result<BatchExecution, ServeError> {
         match self.take_fault() {
-            FaultMode::Off => self.inner.forward_batch(inputs),
+            FaultMode::Off => self.inner.forward_batch_in(inputs, arena),
             FaultMode::Panic(_) => {
                 self.state.injected_panics.fetch_add(1, Ordering::Relaxed);
                 panic!("injected fault: scripted backend panic");
@@ -233,7 +239,7 @@ impl ExecutionBackend for FaultBackend {
             FaultMode::Delay(_, delay_ms) => {
                 self.state.injected_delays.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(std::time::Duration::from_millis(delay_ms));
-                self.inner.forward_batch(inputs)
+                self.inner.forward_batch_in(inputs, arena)
             }
         }
     }
@@ -246,6 +252,15 @@ impl ExecutionBackend for FaultBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdc_serve::BufferPool;
+
+    /// One batch through `backend` on a fresh arena.
+    fn run(
+        backend: &Arc<dyn ExecutionBackend>,
+        inputs: &[&Tensor],
+    ) -> Result<BatchExecution, ServeError> {
+        backend.forward_batch_in(inputs, &mut ScratchArena::new(Arc::new(BufferPool::new())))
+    }
 
     #[test]
     fn budget_drains_then_disarms() {
@@ -257,13 +272,13 @@ mod tests {
         let backend = injector.wrap(Arc::new(NullBackend));
         for _ in 0..2 {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _ = backend.forward_batch(&[]);
+                let _ = run(&backend, &[]);
             }));
             assert!(result.is_err(), "armed panic must fire");
         }
         assert!(injector.is_idle());
         assert_eq!(injector.injected_panics(), 2);
-        assert!(backend.forward_batch(&[]).is_ok(), "healed: pass-through");
+        assert!(run(&backend, &[]).is_ok(), "healed: pass-through");
     }
 
     #[test]
@@ -274,7 +289,7 @@ mod tests {
         let input = Tensor::from_vec(vec![2], vec![1.0, 2.0]).unwrap();
 
         let started = std::time::Instant::now();
-        let slow = backend.forward_batch(&[&input]).expect("delayed batch");
+        let slow = run(&backend, &[&input]).expect("delayed batch");
         assert!(
             started.elapsed() >= std::time::Duration::from_millis(40),
             "armed delay must stall the batch"
@@ -288,7 +303,7 @@ mod tests {
         assert!(injector.is_idle(), "delay budget must drain");
 
         let started = std::time::Instant::now();
-        backend.forward_batch(&[&input]).expect("healed batch");
+        run(&backend, &[&input]).expect("healed batch");
         assert!(
             started.elapsed() < std::time::Duration::from_millis(40),
             "healed batches must not stall"
@@ -300,7 +315,7 @@ mod tests {
         let injector = FaultInjector::new();
         injector.arm_errors(1);
         let backend = injector.wrap(Arc::new(NullBackend));
-        match backend.forward_batch(&[]) {
+        match run(&backend, &[]) {
             Err(ServeError::ExecutionFailed { reason }) => {
                 assert!(reason.contains("injected fault"));
             }
@@ -308,6 +323,39 @@ mod tests {
         }
         assert_eq!(injector.injected_errors(), 1);
         assert!(injector.is_idle());
+    }
+
+    #[test]
+    fn wrapped_engine_runs_the_arena_path() {
+        use tdc_serve::{serving_descriptor, ServeEngine};
+
+        let descriptor = serving_descriptor("fault-arena", 10, 4, 6);
+        let engine = ServeEngine::builder(&descriptor)
+            .wrap_backend(Arc::new(FaultInjector::new()))
+            .build()
+            .unwrap();
+        let inputs = vec![Tensor::zeros(vec![10, 10, 4]); 4];
+        let pool = engine.buffer_pool();
+        let serve = |inputs: Vec<Tensor>| {
+            for handle in engine.submit_many(inputs, None).unwrap() {
+                pool.give(handle.wait().unwrap().output.into_data());
+            }
+        };
+
+        serve(inputs.clone());
+        let warm = engine.pool_stats();
+        assert!(
+            warm.takes > 0,
+            "an unarmed fault wrapper must hand the worker's arena to the real backend"
+        );
+        serve(inputs);
+        let after = engine.pool_stats();
+        assert!(after.takes > warm.takes);
+        assert_eq!(
+            after.allocated_buffers, warm.allocated_buffers,
+            "a warm batch through the wrapper must not allocate"
+        );
+        engine.shutdown();
     }
 
     struct NullBackend;
@@ -322,7 +370,11 @@ mod tests {
         fn warmup(&self) -> Result<(), ServeError> {
             Ok(())
         }
-        fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution, ServeError> {
+        fn forward_batch_in(
+            &self,
+            inputs: &[&Tensor],
+            _arena: &mut ScratchArena,
+        ) -> Result<BatchExecution, ServeError> {
             Ok(BatchExecution {
                 outputs: inputs.iter().map(|t| (*t).clone()).collect(),
                 simulated_gpu_ms: 0.0,

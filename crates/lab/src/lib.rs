@@ -16,14 +16,14 @@
 //!   Same spec + seed ⇒ identical trace, on any machine.
 //! * [`fault`] — [`FaultInjector`], a
 //!   [`BackendWrapper`](tdc_serve::BackendWrapper) that panics or
-//!   fails `forward_batch` on command; the chaos harness's scalpel.
+//!   fails `forward_batch_in` on command; the chaos harness's scalpel.
 //! * [`runner`] — [`deploy`] builds a registry from a
 //!   spec and [`replay`] drives it open-loop on the
 //!   trace clock, arming faults at their scripted timestamps and
 //!   accounting for every sample
 //!   (`submitted == completed + expired + failed`, plus typed sheds).
 //! * [`chaos`] — the scenario catalog: worker panic inside
-//!   `forward_batch`, backend error storms, replica kill/restart under
+//!   `forward_batch_in`, backend error storms, replica kill/restart under
 //!   load, plan spill-dir loss, admission-queue saturation — each
 //!   asserting the same contract: *clients only ever see typed errors,
 //!   counters reconcile, and after the fault heals, outputs are

@@ -110,7 +110,7 @@ pub enum SizeMix {
 /// What a scripted fault does when it fires.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultAction {
-    /// Panic inside the model's `forward_batch` for the next `count`
+    /// Panic inside the model's `forward_batch_in` for the next `count`
     /// batches.
     BackendPanic {
         /// Target model name.
@@ -119,14 +119,14 @@ pub enum FaultAction {
         count: u32,
     },
     /// Return typed `ExecutionFailed` errors from the model's
-    /// `forward_batch` for the next `count` batches.
+    /// `forward_batch_in` for the next `count` batches.
     BackendError {
         /// Target model name.
         model: String,
         /// Number of consecutive batches to fail.
         count: u32,
     },
-    /// Stall the model's `forward_batch` for `delay_ms` on each of the
+    /// Stall the model's `forward_batch_in` for `delay_ms` on each of the
     /// next `count` batches — a brown-out: outputs stay bit-correct,
     /// only measured latency degrades.
     BackendDelay {

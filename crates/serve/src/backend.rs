@@ -4,10 +4,11 @@
 //! way of running a batch lives behind [`ExecutionBackend`], and engines are
 //! built against the trait. Two backends ship with the crate:
 //!
-//! * [`CpuBackend`] — the real CPU executor: kept layers through `tdc-conv`'s
-//!   algorithm zoo, decomposed layers through `tdc-tucker`'s three-stage
-//!   Tucker-2 convolution. Its latency report is the *predicted* per-layer
-//!   GPU latency from the compression plan (the planning oracle's view).
+//! * [`CpuBackend`] — the real CPU executor: kept layers as im2col+GEMM,
+//!   decomposed layers as the three-stage Tucker-2 convolution, every
+//!   intermediate staged in the worker's scratch arena. Its latency report
+//!   is the *predicted* per-layer GPU latency from the compression plan
+//!   (the planning oracle's view).
 //! * [`SimGpuBackend`] — the same numerics (outputs are bit-identical to the
 //!   CPU backend for the same seed and plan) plus a *measured-in-simulation*
 //!   latency account: every planned layer is lowered to its
@@ -124,10 +125,11 @@ pub struct BackendLatencyReport {
 /// A pluggable way of executing batches for one materialized model.
 ///
 /// Implementations must be `Send + Sync`: one backend instance is shared by
-/// the whole worker pool. The engine probes the backend once with
-/// [`ExecutionBackend::warmup`] before accepting traffic, so a backend that
-/// cannot execute the model (e.g. an algorithm that does not support one of
-/// the layers) fails engine construction instead of dropping every request.
+/// the whole worker pool. Batches run through the single batch method,
+/// [`ExecutionBackend::forward_batch_in`]. The engine probes the backend once
+/// with [`ExecutionBackend::warmup`] before accepting traffic, so a backend
+/// that cannot execute the model fails engine construction instead of
+/// dropping every request.
 ///
 /// # Examples
 ///
@@ -159,27 +161,18 @@ pub trait ExecutionBackend: Send + Sync {
     /// accepted.
     fn warmup(&self) -> Result<()>;
 
-    /// Execute one batch and return the outputs in submission order together
-    /// with the backend's latency account for the batch.
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution>;
-
-    /// Arena-carrying form of [`ExecutionBackend::forward_batch`]: backends
-    /// that can stage scratch data (im2col patches, Tucker intermediates,
-    /// output tensors) in `arena` avoid per-request allocations entirely.
+    /// Execute one batch and return one output per input, in submission
+    /// order, together with the backend's latency account for the batch.
     ///
-    /// The engine's workers always call this form, passing a per-worker
-    /// arena. The default implementation ignores the arena and delegates to
-    /// [`ExecutionBackend::forward_batch`], keeping third-party backends
-    /// (wrappers, fault injectors) source-compatible; results must be
-    /// identical either way.
+    /// `arena` is the calling worker's scratch arena: backends stage
+    /// intermediates (im2col patches, Tucker stage outputs, the returned
+    /// logits) in it so a warm engine runs without per-request allocations.
+    /// Wrappers pass it on to the backend they interpose on.
     fn forward_batch_in(
         &self,
         inputs: &[&Tensor],
         arena: &mut crate::arena::ScratchArena,
-    ) -> Result<BatchExecution> {
-        let _ = arena;
-        self.forward_batch(inputs)
-    }
+    ) -> Result<BatchExecution>;
 
     /// The backend's per-layer latency breakdown at the given batch size.
     fn latency_report(&self, batch_size: usize) -> Result<BackendLatencyReport>;
@@ -244,20 +237,9 @@ impl ExecutionBackend for CpuBackend {
             .map(|_| ())
     }
 
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution> {
-        let outputs = inputs
-            .iter()
-            .map(|x| self.model.forward(x))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(BatchExecution {
-            outputs,
-            simulated_gpu_ms: 0.0,
-        })
-    }
-
     /// The zero-allocation hot path: every sample runs through
     /// [`CompressedModel::forward_in`], staging all intermediates in the
-    /// worker's arena. Bit-identical to [`CpuBackend::forward_batch`].
+    /// worker's arena.
     fn forward_batch_in(
         &self,
         inputs: &[&Tensor],
@@ -447,17 +429,8 @@ impl ExecutionBackend for SimGpuBackend {
         self.report_for(1).map(|_| ())
     }
 
-    fn forward_batch(&self, inputs: &[&Tensor]) -> Result<BatchExecution> {
-        let outputs = inputs
-            .iter()
-            .map(|x| self.model.forward(x))
-            .collect::<Result<Vec<_>>>()?;
-        self.simulated(outputs)
-    }
-
     /// The same arena hot path as [`CpuBackend::forward_batch_in`], with the
-    /// batch's simulated latency attached. Bit-identical to
-    /// [`SimGpuBackend::forward_batch`].
+    /// batch's simulated latency attached.
     fn forward_batch_in(
         &self,
         inputs: &[&Tensor],
@@ -525,7 +498,7 @@ mod tests {
             DeviceSpec::a100(),
             fc.clone(),
         );
-        let sim = SimGpuBackend::new(model, plan, DeviceSpec::a100(), fc);
+        let sim = SimGpuBackend::new(Arc::clone(&model), plan, DeviceSpec::a100(), fc);
         cpu.warmup().unwrap();
         sim.warmup().unwrap();
 
@@ -534,21 +507,19 @@ mod tests {
             .map(|_| init::uniform(vec![12, 12, 8], -1.0, 1.0, &mut rng))
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
-        let a = cpu.forward_batch(&refs).unwrap();
-        let b = sim.forward_batch(&refs).unwrap();
+        let mut arena = crate::arena::ScratchArena::new(Arc::new(crate::arena::BufferPool::new()));
+        let a = cpu.forward_batch_in(&refs, &mut arena).unwrap();
+        let b = sim.forward_batch_in(&refs, &mut arena).unwrap();
         assert_eq!(a.outputs, b.outputs, "backends must agree bit-for-bit");
         assert_eq!(a.simulated_gpu_ms, 0.0);
         assert!(b.simulated_gpu_ms > 0.0);
 
-        // Both backends' arena paths match the allocating path bit for bit,
-        // and the simulated account does not depend on which path ran.
-        let mut arena = crate::arena::ScratchArena::new(Arc::new(crate::arena::BufferPool::new()));
-        let a_in = cpu.forward_batch_in(&refs, &mut arena).unwrap();
-        let b_in = sim.forward_batch_in(&refs, &mut arena).unwrap();
-        assert_eq!(a_in.outputs, a.outputs, "cpu arena path diverged");
-        assert_eq!(b_in.outputs, b.outputs, "sim-gpu arena path diverged");
-        assert_eq!(a_in.simulated_gpu_ms, a.simulated_gpu_ms);
-        assert_eq!(b_in.simulated_gpu_ms, b.simulated_gpu_ms);
+        // Both match the allocating per-sample reference bit for bit.
+        let reference: Vec<Tensor> = inputs.iter().map(|x| model.forward(x).unwrap()).collect();
+        assert_eq!(
+            a.outputs, reference,
+            "arena batch diverged from the reference"
+        );
     }
 
     #[test]
@@ -556,7 +527,7 @@ mod tests {
         use crate::arena::{BufferPool, ScratchArena};
 
         let (model, plan, fc) = model_and_plan();
-        let cpu = CpuBackend::new(model, plan, DeviceSpec::a100(), fc);
+        let cpu = CpuBackend::new(Arc::clone(&model), plan, DeviceSpec::a100(), fc);
         let mut rng = StdRng::seed_from_u64(29);
         let inputs: Vec<Tensor> = (0..4)
             .map(|_| init::uniform(vec![12, 12, 8], -1.0, 1.0, &mut rng))
@@ -565,10 +536,10 @@ mod tests {
 
         let pool = Arc::new(BufferPool::new());
         let mut arena = ScratchArena::new(Arc::clone(&pool));
-        // Match `forward_batch` bitwise and warm the pool.
-        let plain = cpu.forward_batch(&refs).unwrap();
+        // Match the per-sample reference bitwise and warm the pool.
+        let plain: Vec<Tensor> = inputs.iter().map(|x| model.forward(x).unwrap()).collect();
         let first = cpu.forward_batch_in(&refs, &mut arena).unwrap();
-        assert_eq!(plain.outputs, first.outputs);
+        assert_eq!(plain, first.outputs);
         for out in first.outputs {
             arena.give(out.into_data());
         }
@@ -578,7 +549,7 @@ mod tests {
         // new allocations: the pool's allocation counters and high-water mark
         // must not move.
         let second = cpu.forward_batch_in(&refs, &mut arena).unwrap();
-        assert_eq!(plain.outputs, second.outputs, "warm batch diverged bitwise");
+        assert_eq!(plain, second.outputs, "warm batch diverged bitwise");
         for out in second.outputs {
             arena.give(out.into_data());
         }

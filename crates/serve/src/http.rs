@@ -313,7 +313,6 @@ impl RegisterBody {
                 },
                 seed: self.seed.unwrap_or(runtime_defaults.seed),
                 backend,
-                ..runtime_defaults
             },
             backend_wrapper: None,
         })

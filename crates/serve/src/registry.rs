@@ -61,7 +61,7 @@ pub struct ModelConfig {
     pub planning: PlanningOptions,
     /// Batch shape and admission bound.
     pub batching: BatchingOptions,
-    /// Worker pool, weight seed, dense algorithm, execution backend.
+    /// Fair-share weight, QoS class, weight seed, execution backend.
     pub runtime: RuntimeOptions,
     /// Optional backend interposer (fault injection, call recording),
     /// applied to every engine built for this model — including the rebuilt

@@ -128,7 +128,7 @@ impl<'a> ServeEngineBuilder<'a> {
         self
     }
 
-    /// Replace the runtime options (workers, seed, dense algorithm, backend).
+    /// Replace the runtime options (workers, QoS class, seed, backend).
     pub fn runtime(mut self, runtime: RuntimeOptions) -> Self {
         self.runtime = runtime;
         self
@@ -199,11 +199,10 @@ impl<'a> ServeEngineBuilder<'a> {
         };
         let (plan, plan_outcome) = cache.get_or_compute(&key, compute)?;
 
-        let model = Arc::new(CompressedModel::materialize_with(
+        let model = Arc::new(CompressedModel::materialize(
             self.descriptor,
             &plan,
             self.runtime.seed,
-            self.runtime.dense_algorithm,
         )?);
         let backend: Arc<dyn ExecutionBackend> = match self.runtime.backend {
             BackendKind::Cpu => Arc::new(CpuBackend::new(
@@ -226,9 +225,8 @@ impl<'a> ServeEngineBuilder<'a> {
             None => backend,
         };
         // Probe the whole execution chain once, so a backend that cannot run
-        // one of the layers (e.g. Winograd on a pointwise layer) fails engine
-        // construction with a real error instead of silently dropping every
-        // request in the workers.
+        // the model fails engine construction with a real error instead of
+        // silently dropping every request in the workers.
         backend.warmup()?;
         let latency_report = backend.latency_report(1)?;
 
@@ -249,7 +247,6 @@ impl<'a> ServeEngineBuilder<'a> {
             backend: Arc::clone(&backend),
             predicted_gpu_ms_per_sample,
             pool: Arc::new(BufferPool::new()),
-            arenas: Mutex::new(Vec::new()),
             running: Mutex::new(0),
             idle: Condvar::new(),
         });
@@ -325,10 +322,6 @@ struct EngineCore {
     /// arenas draw from it, and answered requests recycle their input (and,
     /// at the HTTP layer, output) tensors back into it.
     pool: Arc<BufferPool>,
-    /// Checked-in [`ScratchArena`] handles; each dispatch pops one (or
-    /// creates one on a cold start) and pushes it back when done, so the pool
-    /// of handles tracks the executor's actual dispatch concurrency.
-    arenas: Mutex<Vec<ScratchArena>>,
     /// Dispatches currently inside `run_one` past the dequeue point; together
     /// with an empty queue this defines "drained" for retire semantics.
     running: Mutex<usize>,
@@ -407,13 +400,9 @@ impl EngineCore {
         }
         let batch_size = batch.len();
         let predicted_gpu_batch_ms = self.predicted_gpu_ms_per_sample * batch_size as f64;
-        // Check out a scratch arena for the dispatch (creating one on a cold
-        // start); every staging buffer the backend needs comes from it.
-        let mut arena = {
-            let mut arenas = self.arenas.lock().unwrap_or_else(|e| e.into_inner());
-            arenas.pop()
-        }
-        .unwrap_or_else(|| ScratchArena::new(Arc::clone(&self.pool)));
+        // Every staging buffer the backend needs comes from the engine's
+        // pool through this dispatch's arena handle.
+        let mut arena = ScratchArena::new(Arc::clone(&self.pool));
         let exec_started = Instant::now();
         let inputs: Vec<&Tensor> = batch.iter().map(|r| &r.input).collect();
         // The backend is arbitrary trait-object code (possibly a harness
@@ -424,12 +413,24 @@ impl EngineCore {
             self.backend.forward_batch_in(&inputs, &mut arena)
         }));
         let exec_ms = exec_started.elapsed().as_secs_f64() * 1e3;
-        {
-            let mut arenas = self.arenas.lock().unwrap_or_else(|e| e.into_inner());
-            arenas.push(arena);
-        }
         let execution = match execution {
-            Ok(Ok(execution)) => execution,
+            Ok(Ok(execution)) if execution.outputs.len() == batch_size => execution,
+            // A backend that answers with the wrong number of outputs cannot
+            // be matched to its requests: fail the whole batch rather than
+            // leave the unmatched tail hanging up uncounted.
+            Ok(Ok(execution)) => {
+                let returned = execution.outputs.len();
+                for output in execution.outputs {
+                    self.pool.give(output.into_data());
+                }
+                self.fail_batch(
+                    batch,
+                    batch_size,
+                    predicted_gpu_batch_ms,
+                    format!("backend returned {returned} outputs for a batch of {batch_size}"),
+                );
+                return;
+            }
             // Engine start probes the whole chain and `submit` rejects wrong
             // shapes, so a failure here is a genuine anomaly — but still an
             // *answered* one: the batch is recorded, every request in it gets
@@ -909,7 +910,7 @@ fn expire_request(request: InferenceRequest, metrics: &MetricsRecorder, now: Ins
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::DenseAlgorithm;
+    use crate::backend::BatchExecution;
     use crate::serving_descriptor;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1184,32 +1185,98 @@ mod tests {
         ));
     }
 
+    /// Wraps the real backend: `Broken(true)` fails the warmup probe,
+    /// `Broken(false)` drops the last output of every batch.
+    struct Broken(bool);
+
+    struct BrokenBackend(Arc<dyn ExecutionBackend>, bool);
+
+    impl BackendWrapper for Broken {
+        fn wrap(&self, inner: Arc<dyn ExecutionBackend>) -> Arc<dyn ExecutionBackend> {
+            Arc::new(BrokenBackend(inner, self.0))
+        }
+    }
+
+    impl ExecutionBackend for BrokenBackend {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn input_dims(&self) -> &[usize] {
+            self.0.input_dims()
+        }
+        fn warmup(&self) -> Result<()> {
+            if self.1 {
+                return Err(ServeError::ExecutionFailed {
+                    reason: "broken warmup".into(),
+                });
+            }
+            self.0.warmup()
+        }
+        fn forward_batch_in(
+            &self,
+            inputs: &[&Tensor],
+            arena: &mut ScratchArena,
+        ) -> Result<BatchExecution> {
+            let mut execution = self.0.forward_batch_in(inputs, arena)?;
+            execution.outputs.pop();
+            Ok(execution)
+        }
+        fn latency_report(&self, batch_size: usize) -> Result<BackendLatencyReport> {
+            self.0.latency_report(batch_size)
+        }
+    }
+
     #[test]
-    fn build_rejects_a_dense_algorithm_that_cannot_run_a_kept_layer() {
-        use tdc_conv::ConvShape;
-        // A chain with a pointwise layer: always kept dense, and Winograd
-        // cannot execute 1x1 filters. The warmup probe at build must catch
-        // this instead of letting workers drop every request.
-        let descriptor = ModelDescriptor {
-            name: "engine-wino".into(),
-            convs: vec![
-                ConvShape::same3x3(4, 8, 10, 10),
-                ConvShape::pointwise(8, 8, 10, 10),
-            ],
-            fc: vec![(8, 3)],
-        };
-        let cache = PlanCache::new(2);
-        let bad = ServeEngine::builder(&descriptor)
-            .runtime(RuntimeOptions {
-                dense_algorithm: DenseAlgorithm::Winograd,
-                ..RuntimeOptions::default()
-            })
-            .plan_cache(&cache)
+    fn a_failing_warmup_fails_the_build_and_the_registration() {
+        let descriptor = serving_descriptor("engine-warmup", 10, 4, 6);
+        let broken = Arc::new(Broken(true));
+        let built = ServeEngine::builder(&descriptor)
+            .wrap_backend(broken.clone())
             .build();
-        assert!(matches!(bad, Err(ServeError::Conv(_))));
-        // The same descriptor serves fine with the default algorithm.
-        let ok = test_engine(&descriptor, &cache).unwrap();
-        drop(ok);
+        assert!(
+            matches!(built, Err(ServeError::ExecutionFailed { ref reason }) if reason == "broken warmup"),
+            "build must surface the warmup error"
+        );
+
+        let registry = crate::ModelRegistry::new(2);
+        let registered = registry.register(
+            "warmup",
+            &descriptor,
+            crate::ModelConfig {
+                backend_wrapper: Some(broken),
+                ..crate::ModelConfig::default()
+            },
+        );
+        assert!(matches!(
+            registered,
+            Err(ServeError::ExecutionFailed { .. })
+        ));
+        assert!(
+            registry.engine("warmup").is_err(),
+            "a failed registration must leave the name unrouted"
+        );
+    }
+
+    #[test]
+    fn a_short_output_list_fails_the_whole_batch() {
+        let descriptor = serving_descriptor("engine-short", 10, 4, 6);
+        let engine = ServeEngine::builder(&descriptor)
+            .batching(test_batching())
+            .wrap_backend(Arc::new(Broken(false)))
+            .build()
+            .unwrap();
+        let inputs = vec![Tensor::zeros(vec![10, 10, 4]); 4];
+        for handle in engine.submit_many(inputs, None).unwrap() {
+            match handle.wait() {
+                Err(ServeError::ExecutionFailed { reason }) => {
+                    assert!(reason.contains("3 outputs for a batch of 4"), "{reason}");
+                }
+                other => panic!("expected ExecutionFailed, got {other:?}"),
+            }
+        }
+        let metrics = engine.shutdown().metrics;
+        assert_eq!(metrics.failed_requests, 4);
+        assert_eq!(metrics.completed_requests, 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn burst_trace_with_mid_trace_worker_panic_heals_bit_identically() {
     assert!(clean.unexpected.is_empty() && clean.failed == 0 && clean.shed == 0);
     drop(reference.registry.shutdown());
 
-    // Drill: the injector panics `forward_batch` twice starting at 90ms.
+    // Drill: the injector panics `forward_batch_in` twice starting at 90ms.
     let deployment = deploy(&spec, &trace, &options).expect("deploy drill");
     let drill = replay(&deployment, &spec, &trace, &options);
     assert!(
