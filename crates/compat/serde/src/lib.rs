@@ -8,8 +8,18 @@
 //! tree; the companion `serde_json` crate renders and parses that tree.
 //! The derive macros mirror serde's external JSON representation: structs
 //! become objects, unit enum variants become strings, and struct variants
-//! become single-key objects. The `#[serde(skip)]` field attribute is
-//! honoured (skipped on write, `Default::default()` on read).
+//! become single-key objects. Field rules follow real serde:
+//!
+//! * an `Option<…>` field reads an absent key (or `null`) as `None`; any
+//!   other absent field is a `missing field` error;
+//! * `#[serde(skip)]` skips the field on write and reads it back as
+//!   `Default::default()`;
+//! * `#[serde(skip_serializing_if = "path")]` writes the field only when
+//!   `!path(&field)`, e.g. `"Option::is_none"` to keep `None` off the wire
+//!   (without it a `None` is written as `null`).
+//!
+//! Those are the only supported attributes; any other `#[serde(...)]`
+//! spelling is a compile error.
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};

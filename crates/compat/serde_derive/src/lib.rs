@@ -6,18 +6,39 @@
 //! `proc_macro` token stream — no `syn`, no `quote`. Supported shapes are the
 //! ones this workspace derives on:
 //!
-//! * structs with named fields (any visibility, `#[serde(skip)]` honoured),
+//! * structs with named fields (any visibility),
 //! * enums with unit variants and struct variants.
 //!
-//! Generics, tuple structs and tuple variants are rejected with a clear
-//! compile-time panic rather than silently mis-serialized.
+//! Fields follow real serde's rules, with real serde's attribute spellings:
+//!
+//! * a field declared as `Option<…>` reads an absent key as `None` (any
+//!   other absent field is a `missing field` error);
+//! * `#[serde(skip)]` leaves the field off the wire and reads it back as
+//!   `Default::default()`;
+//! * `#[serde(skip_serializing_if = "path")]` writes the key only when
+//!   `!path(&field)` — `"Option::is_none"` keeps `None` off the wire.
+//!
+//! Generics, tuple structs, tuple variants and any other `#[serde(...)]`
+//! attribute are rejected with a clear compile-time panic rather than
+//! silently mis-serialized.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// One parsed field: its name and whether `#[serde(skip)]` was present.
+/// The `#[serde(...)]` attributes of one field.
+#[derive(Default)]
+struct FieldAttrs {
+    /// `#[serde(skip)]`.
+    skip: bool,
+    /// `#[serde(skip_serializing_if = "path")]`: the predicate's path.
+    skip_serializing_if: Option<String>,
+}
+
+/// One parsed field.
 struct Field {
     name: String,
-    skip: bool,
+    attrs: FieldAttrs,
+    /// Declared as `Option<…>`: an absent key deserializes as `None`.
+    optional: bool,
 }
 
 /// One parsed enum variant: unit (`fields == None`) or struct-like.
@@ -38,34 +59,59 @@ enum Item {
     },
 }
 
-/// True when the attribute body (the tokens inside `#[...]`) is
-/// `serde(... skip ...)`.
-fn attr_is_serde_skip(body: &[TokenTree]) -> bool {
-    match body {
-        [TokenTree::Ident(tag), TokenTree::Group(args)] if tag.to_string() == "serde" => args
-            .stream()
-            .into_iter()
-            .any(|t| matches!(&t, TokenTree::Ident(i) if i.to_string() == "skip")),
-        _ => false,
+/// Fold one attribute body (the tokens inside `#[...]`) into `attrs` when it
+/// is `serde(...)`; other attributes (docs, lints) are ignored.
+fn parse_serde_attr(body: &[TokenTree], attrs: &mut FieldAttrs) {
+    let [TokenTree::Ident(tag), TokenTree::Group(args)] = body else {
+        return;
+    };
+    if tag.to_string() != "serde" {
+        return;
+    }
+    for arg in split_top_level(args.stream().into_iter().collect()) {
+        match arg.as_slice() {
+            [TokenTree::Ident(key)] if key.to_string() == "skip" => attrs.skip = true,
+            [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(path)]
+                if key.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+            {
+                attrs.skip_serializing_if = Some(path.to_string().trim_matches('"').to_string());
+            }
+            other => {
+                let text: String = other.iter().map(|t| t.to_string()).collect();
+                panic!("serde_derive stub: unsupported attribute `serde({text})`")
+            }
+        }
     }
 }
 
-/// Skip leading attributes, reporting whether any was `#[serde(skip)]`.
-fn skip_attributes(tokens: &[TokenTree], mut pos: usize) -> (usize, bool) {
-    let mut skip = false;
+/// Skip leading attributes, collecting any `#[serde(...)]` ones.
+fn skip_attributes(tokens: &[TokenTree], mut pos: usize) -> (usize, FieldAttrs) {
+    let mut attrs = FieldAttrs::default();
     while pos + 1 < tokens.len() {
         match (&tokens[pos], &tokens[pos + 1]) {
             (TokenTree::Punct(p), TokenTree::Group(g))
                 if p.as_char() == '#' && g.delimiter() == Delimiter::Bracket =>
             {
                 let body: Vec<TokenTree> = g.stream().into_iter().collect();
-                skip |= attr_is_serde_skip(&body);
+                parse_serde_attr(&body, &mut attrs);
                 pos += 2;
             }
             _ => break,
         }
     }
-    (pos, skip)
+    (pos, attrs)
+}
+
+/// Whether a field type is `Option<…>`, by the last path segment before its
+/// generic arguments (so `std::option::Option<T>` counts too), as real
+/// serde checks.
+fn is_option(ty: &[TokenTree]) -> bool {
+    let open = ty
+        .iter()
+        .position(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == '<'));
+    open.is_some_and(
+        |open| matches!(&ty[..open], [.., TokenTree::Ident(i)] if i.to_string() == "Option"),
+    )
 }
 
 /// Skip a visibility qualifier (`pub`, `pub(crate)`, ...).
@@ -111,13 +157,16 @@ fn split_top_level(tokens: Vec<TokenTree>) -> Vec<Vec<TokenTree>> {
 fn parse_named_fields(body: TokenStream, context: &str) -> Vec<Field> {
     let mut fields = Vec::new();
     for chunk in split_top_level(body.into_iter().collect()) {
-        let (pos, skip) = skip_attributes(&chunk, 0);
+        let (pos, attrs) = skip_attributes(&chunk, 0);
         let pos = skip_visibility(&chunk, pos);
         match &chunk[pos..] {
-            [TokenTree::Ident(name), TokenTree::Punct(colon), ..] if colon.as_char() == ':' => {
+            [TokenTree::Ident(name), TokenTree::Punct(colon), ty @ ..]
+                if colon.as_char() == ':' =>
+            {
                 fields.push(Field {
                     name: name.to_string(),
-                    skip,
+                    attrs,
+                    optional: is_option(ty),
                 });
             }
             _ => panic!("serde_derive stub: {context} must use named `ident: Type` fields"),
@@ -177,16 +226,28 @@ fn parse_item(input: TokenStream) -> Item {
     }
 }
 
+/// The statements pushing each serialized field onto the `Vec` named
+/// `{target}`; `access(name)` is the expression borrowing the field.
+fn field_pushes(fields: &[Field], target: &str, access: impl Fn(&str) -> String) -> String {
+    let mut out = String::new();
+    for f in fields.iter().filter(|f| !f.attrs.skip) {
+        let fname = &f.name;
+        let value = access(fname);
+        let push = format!(
+            "{target}.push((\"{fname}\".to_string(), ::serde::Serialize::to_value({value})));\n"
+        );
+        match &f.attrs.skip_serializing_if {
+            Some(path) => out.push_str(&format!("if !{path}({value}) {{\n{push}}}\n")),
+            None => out.push_str(&push),
+        }
+    }
+    out
+}
+
 fn serialize_impl(item: &Item) -> String {
     match item {
         Item::Struct { name, fields } => {
-            let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
-                let fname = &f.name;
-                pushes.push_str(&format!(
-                    "fields.push((\"{fname}\".to_string(), ::serde::Serialize::to_value(&self.{fname})));\n"
-                ));
-            }
+            let pushes = field_pushes(fields, "fields", |fname| format!("&self.{fname}"));
             format!(
                 "#[automatically_derived]\n\
                  #[allow(warnings, clippy::all)]\n\
@@ -210,13 +271,8 @@ fn serialize_impl(item: &Item) -> String {
                     Some(fields) => {
                         let bindings: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
                         let pattern = bindings.join(", ");
-                        let mut pushes = String::new();
-                        for f in fields.iter().filter(|f| !f.skip) {
-                            let fname = &f.name;
-                            pushes.push_str(&format!(
-                                "inner.push((\"{fname}\".to_string(), ::serde::Serialize::to_value({fname})));\n"
-                            ));
-                        }
+                        // Pattern bindings are already references.
+                        let pushes = field_pushes(fields, "inner", str::to_string);
                         arms.push_str(&format!(
                             "{name}::{vname} {{ {pattern} }} => {{\n\
                                  let mut inner: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
@@ -246,8 +302,15 @@ fn field_initializers(fields: &[Field], context: &str, source: &str) -> String {
     let mut out = String::new();
     for f in fields {
         let fname = &f.name;
-        if f.skip {
+        if f.attrs.skip {
             out.push_str(&format!("{fname}: Default::default(),\n"));
+        } else if f.optional {
+            out.push_str(&format!(
+                "{fname}: match {source}.get(\"{fname}\") {{\n\
+                     ::std::option::Option::Some(field) => ::serde::Deserialize::from_value(field)?,\n\
+                     ::std::option::Option::None => ::std::option::Option::None,\n\
+                 }},\n"
+            ));
         } else {
             out.push_str(&format!(
                 "{fname}: ::serde::Deserialize::from_value({source}.get(\"{fname}\").ok_or_else(|| ::serde::Error::custom(\"missing field `{fname}` in {context}\"))?)?,\n"
@@ -285,7 +348,8 @@ fn deserialize_impl(item: &Item) -> String {
                         let context = format!("{name}::{vname}");
                         let inits = field_initializers(fields, &context, "inner");
                         struct_arms.push_str(&format!(
-                            "\"{vname}\" => Ok({name}::{vname} {{\n{inits}}}),\n"
+                            "\"{vname}\" if inner.as_object().is_none() => Err(::serde::Error::mismatch(\"object\", inner)),\n\
+                             \"{vname}\" => Ok({name}::{vname} {{\n{inits}}}),\n"
                         ));
                     }
                 }
@@ -301,9 +365,7 @@ fn deserialize_impl(item: &Item) -> String {
                                  other => Err(::serde::Error::custom(format!(\"unknown variant `{{other}}` of {name}\"))),\n\
                              }},\n\
                              ::serde::Value::Object(entries) if entries.len() == 1 => {{\n\
-                                 let (tag, _inner) = &entries[0];\n\
-                                 let inner = _inner;\n\
-                                 let _ = inner;\n\
+                                 let (tag, inner) = &entries[0];\n\
                                  match tag.as_str() {{\n\
                                      {struct_arms}\
                                      other => Err(::serde::Error::custom(format!(\"unknown variant `{{other}}` of {name}\"))),\n\

@@ -13,7 +13,7 @@
 //!   pool size), and a token that still has work after its quantum goes back
 //!   to the *tail* of its band — deficit-round-robin between sources, so a
 //!   flooded source cannot push a sibling's token arbitrarily far back;
-//! * a **per-worker local deque** (the compat `rayon::deque` primitive):
+//! * a **per-worker local deque** (the crate-private `deque` module):
 //!   ramp-up tokens for a backlogged source land here so the worker that
 //!   observed the backlog keeps serving it without a trip through the
 //!   global queue;
@@ -63,7 +63,9 @@
 //! exec.shutdown();
 //! ```
 
-use rayon::deque::{Injector, Steal, Stealer, Worker};
+mod deque;
+
+use deque::Fifo;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -269,7 +271,7 @@ struct SourceEntry {
 }
 
 struct Band {
-    shards: Vec<Injector<Token>>,
+    shards: Vec<Fifo<Token>>,
     next: AtomicUsize,
 }
 
@@ -315,7 +317,9 @@ struct SignalState {
 
 struct Inner {
     bands: [Band; 3],
-    stealers: Vec<Stealer<Token>>,
+    /// Each worker's local deque, indexed by worker; idle siblings steal
+    /// from it.
+    locals: Vec<Fifo<Token>>,
     sources: Mutex<Vec<Token>>,
     timers: Mutex<BinaryHeap<TimerEntry>>,
     signal: Mutex<SignalState>,
@@ -355,7 +359,7 @@ impl Inner {
     /// never be stranded without a token. The first token goes to the
     /// source's QoS band (the fair tail position); ramp-up extras go to the
     /// calling worker's local deque where idle siblings can steal them.
-    fn replenish(&self, entry: &Token, local: Option<&Worker<Token>>) {
+    fn replenish(&self, entry: &Token, local: Option<&Fifo<Token>>) {
         let pending = entry.source.pending();
         if pending == 0 || entry.closed.load(Ordering::Acquire) {
             return;
@@ -424,7 +428,7 @@ impl Inner {
     /// sibling.
     fn find_token(
         &self,
-        local: &Worker<Token>,
+        local: &Fifo<Token>,
         index: usize,
         dispatches: u64,
     ) -> Option<(Token, bool)> {
@@ -442,7 +446,7 @@ impl Inner {
             // sitting in another.
             for offset in 0..shard_count {
                 let shard = &band.shards[(index + dispatches as usize + offset) % shard_count];
-                if let Steal::Success(token) = shard.steal() {
+                if let Some(token) = shard.pop() {
                     return Some((token, false));
                 }
             }
@@ -450,9 +454,9 @@ impl Inner {
         if let Some(token) = local.pop() {
             return Some((token, false));
         }
-        for offset in 1..self.stealers.len() {
-            let victim = (index + offset) % self.stealers.len();
-            if let Steal::Success(token) = self.stealers[victim].steal() {
+        for offset in 1..self.locals.len() {
+            let victim = (index + offset) % self.locals.len();
+            if let Some(token) = self.locals[victim].pop() {
                 self.steals_total.fetch_add(1, Ordering::Relaxed);
                 return Some((token, true));
             }
@@ -462,7 +466,7 @@ impl Inner {
 
     /// Run one token: up to `weight` batches, then hand the token back to
     /// the band tail (or park it on the formation timer, or drop it).
-    fn dispatch(&self, index: usize, entry: &Token, local: &Worker<Token>, via_steal: bool) {
+    fn dispatch(&self, index: usize, entry: &Token, local: &Fifo<Token>, via_steal: bool) {
         if entry.closed.load(Ordering::Acquire) {
             entry.outstanding.fetch_sub(1, Ordering::AcqRel);
             return;
@@ -524,7 +528,8 @@ impl Inner {
     }
 }
 
-fn worker_loop(inner: Arc<Inner>, index: usize, local: Worker<Token>) {
+fn worker_loop(inner: Arc<Inner>, index: usize) {
+    let local = &inner.locals[index];
     let mut dispatches: u64 = 0;
     loop {
         let seen = {
@@ -546,9 +551,9 @@ fn worker_loop(inner: Arc<Inner>, index: usize, local: Worker<Token>) {
             st.seq
         };
         inner.fire_due_timers();
-        if let Some((token, via_steal)) = inner.find_token(&local, index, dispatches) {
+        if let Some((token, via_steal)) = inner.find_token(local, index, dispatches) {
             dispatches += 1;
-            inner.dispatch(index, &token, &local, via_steal);
+            inner.dispatch(index, &token, local, via_steal);
             continue;
         }
         let timeout = inner
@@ -575,15 +580,13 @@ impl Executor {
     pub fn new(options: ExecutorOptions) -> std::io::Result<Executor> {
         let workers = options.workers.max(1);
         let shards = options.injector_shards.max(1);
-        let locals: Vec<Worker<Token>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers = locals.iter().map(|w| w.stealer()).collect();
         let make_band = || Band {
-            shards: (0..shards).map(|_| Injector::new()).collect(),
+            shards: (0..shards).map(|_| Fifo::new()).collect(),
             next: AtomicUsize::new(0),
         };
         let inner = Arc::new(Inner {
             bands: [make_band(), make_band(), make_band()],
-            stealers,
+            locals: (0..workers).map(|_| Fifo::new()).collect(),
             sources: Mutex::new(Vec::new()),
             timers: Mutex::new(BinaryHeap::new()),
             signal: Mutex::new(SignalState {
@@ -601,11 +604,11 @@ impl Executor {
             next_source_id: AtomicU64::new(0),
         });
         let mut handles = Vec::with_capacity(workers);
-        for (index, local) in locals.into_iter().enumerate() {
+        for index in 0..workers {
             let worker_inner = Arc::clone(&inner);
             let spawned = std::thread::Builder::new()
                 .name(format!("tdc-exec-worker-{index}"))
-                .spawn(move || worker_loop(worker_inner, index, local));
+                .spawn(move || worker_loop(worker_inner, index));
             match spawned {
                 Ok(handle) => handles.push(handle),
                 Err(e) => {

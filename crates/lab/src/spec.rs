@@ -14,10 +14,10 @@
 //! * **faults** — scripted [`FaultSpec`] events fired at trace
 //!   timestamps by the replay runner.
 //!
-//! Parsing is hand-rolled over [`serde_json::Value`] (same style as the
-//! serve tier's admin bodies) so malformed specs produce pinpointed
-//! errors instead of a generic deserialization failure, and so optional
-//! fields and enum-ish `kind` tags stay readable in the JSON.
+//! Parsing is hand-rolled over [`serde_json::Value`] rather than derived,
+//! so malformed specs produce pinpointed validation messages instead of a
+//! generic deserialization failure, and so enum-ish `kind` tags stay
+//! readable in the JSON.
 
 use serde_json::{parse_value, Value};
 use tdc_serve::{ModelRegistry, QosClass};

@@ -79,7 +79,7 @@ use crate::control::{ControllerConfig, TuneRequest};
 use crate::options::{BatchingOptions, PlanningOptions, RuntimeOptions};
 use crate::registry::{ModelConfig, ModelRegistry};
 use crate::{BackendKind, Result, ServeError};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -113,127 +113,79 @@ const MAX_REQUESTS_PER_CONNECTION: usize = 1024;
 const MAX_HANDLER_THREADS: usize = 64;
 
 /// JSON body of `POST /v1/models/{name}/infer` (single-sample form).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct InferBody {
     /// Flat input sample, row-major.
     pub input: Vec<f32>,
     /// HWC dims of `input`; defaults to the model's expected input dims.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dims: Option<Vec<usize>>,
     /// Per-request deadline in milliseconds, overriding the model's default
     /// ([`BatchingOptions::default_deadline`](crate::BatchingOptions)); a
     /// request not served within the deadline answers `504`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline_ms: Option<u64>,
 }
 
-impl Serialize for InferBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("input".to_string(), self.input.to_value())];
-        if let Some(dims) = &self.dims {
-            fields.push(("dims".to_string(), dims.to_value()));
-        }
-        if let Some(deadline_ms) = &self.deadline_ms {
-            fields.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-// Hand-written so optional fields may be absent entirely (the derive macro
-// requires every field, including `Option`s, to be present as a key).
-impl Deserialize for InferBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let input = value
-            .get("input")
-            .ok_or_else(|| serde::Error::custom("missing field `input` in infer body"))?;
-        Ok(InferBody {
-            input: Vec::<f32>::from_value(input)?,
-            dims: optional_field(value, "dims")?,
-            deadline_ms: optional_field(value, "deadline_ms")?,
-        })
-    }
-}
-
 /// JSON body of the batched infer form: N samples riding one submission.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BatchInferBody {
     /// Flat input samples, row-major, all sharing one `dims`.
     pub inputs: Vec<Vec<f32>>,
     /// HWC dims of each sample; defaults to the model's expected input dims.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub dims: Option<Vec<usize>>,
     /// Per-request deadline in milliseconds shared by every sample in the
     /// group, overriding the model's default.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub deadline_ms: Option<u64>,
-}
-
-impl Serialize for BatchInferBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("inputs".to_string(), self.inputs.to_value())];
-        if let Some(dims) = &self.dims {
-            fields.push(("dims".to_string(), dims.to_value()));
-        }
-        if let Some(deadline_ms) = &self.deadline_ms {
-            fields.push(("deadline_ms".to_string(), deadline_ms.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for BatchInferBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let inputs = value
-            .get("inputs")
-            .ok_or_else(|| serde::Error::custom("missing field `inputs` in batched infer body"))?;
-        Ok(BatchInferBody {
-            inputs: Vec::<Vec<f32>>::from_value(inputs)?,
-            dims: optional_field(value, "dims")?,
-            deadline_ms: optional_field(value, "deadline_ms")?,
-        })
-    }
-}
-
-fn optional_field<T: Deserialize>(
-    value: &serde::Value,
-    key: &str,
-) -> std::result::Result<Option<T>, serde::Error> {
-    match value.get(key) {
-        None | Some(serde::Value::Null) => Ok(None),
-        Some(field) => Ok(Some(T::from_value(field)?)),
-    }
 }
 
 /// JSON body of `PUT /v1/models/{name}`: the model descriptor plus optional
 /// planning / batching / runtime knobs (defaults match
 /// [`ModelConfig::default`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RegisterBody {
     /// The network to serve (`{"name", "convs": [...], "fc": [[in, out]]}`).
     pub descriptor: ModelDescriptor,
     /// FLOPs-reduction budget for rank selection, in `[0, 1)`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub budget: Option<f64>,
     /// Rank-candidate step.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rank_step: Option<usize>,
     /// θ skip threshold for rank selection.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub theta: Option<f64>,
     /// Planning/simulation device: `"a100"` (default) or `"rtx2080ti"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub device: Option<String>,
     /// Execution backend: `"cpu"` (default) or `"sim-gpu"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub backend: Option<String>,
     /// Maximum requests per executed batch.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_batch_size: Option<usize>,
     /// Longest the oldest queued request waits for batch-mates, ms.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_batch_delay_ms: Option<u64>,
     /// Admission bound of the model's queue.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_queue_depth: Option<usize>,
     /// Default per-request deadline, ms.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub default_deadline_ms: Option<u64>,
     /// Fair-share weight on the fleet executor (historically the size of a
     /// per-model worker pool; the executor is now shared, so this scales the
     /// model's scheduling quantum instead).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub workers: Option<usize>,
     /// QoS class on the fleet executor: `"interactive"`, `"standard"`
     /// (default) or `"batch"`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub qos: Option<String>,
     /// Seed for weight materialization.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub seed: Option<u64>,
 }
 
@@ -319,117 +271,34 @@ impl RegisterBody {
     }
 }
 
-impl Serialize for RegisterBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("descriptor".to_string(), self.descriptor.to_value())];
-        let mut push_opt = |name: &str, value: Option<serde::Value>| {
-            if let Some(value) = value {
-                fields.push((name.to_string(), value));
-            }
-        };
-        push_opt("budget", self.budget.as_ref().map(Serialize::to_value));
-        push_opt(
-            "rank_step",
-            self.rank_step.as_ref().map(Serialize::to_value),
-        );
-        push_opt("theta", self.theta.as_ref().map(Serialize::to_value));
-        push_opt("device", self.device.as_ref().map(Serialize::to_value));
-        push_opt("backend", self.backend.as_ref().map(Serialize::to_value));
-        push_opt(
-            "max_batch_size",
-            self.max_batch_size.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "max_batch_delay_ms",
-            self.max_batch_delay_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "max_queue_depth",
-            self.max_queue_depth.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "default_deadline_ms",
-            self.default_deadline_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt("workers", self.workers.as_ref().map(Serialize::to_value));
-        push_opt("qos", self.qos.as_ref().map(Serialize::to_value));
-        push_opt("seed", self.seed.as_ref().map(Serialize::to_value));
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for RegisterBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let descriptor = value
-            .get("descriptor")
-            .ok_or_else(|| serde::Error::custom("missing field `descriptor` in register body"))?;
-        Ok(RegisterBody {
-            descriptor: ModelDescriptor::from_value(descriptor)?,
-            budget: optional_field(value, "budget")?,
-            rank_step: optional_field(value, "rank_step")?,
-            theta: optional_field(value, "theta")?,
-            device: optional_field(value, "device")?,
-            backend: optional_field(value, "backend")?,
-            max_batch_size: optional_field(value, "max_batch_size")?,
-            max_batch_delay_ms: optional_field(value, "max_batch_delay_ms")?,
-            max_queue_depth: optional_field(value, "max_queue_depth")?,
-            default_deadline_ms: optional_field(value, "default_deadline_ms")?,
-            workers: optional_field(value, "workers")?,
-            qos: optional_field(value, "qos")?,
-            seed: optional_field(value, "seed")?,
-        })
-    }
-}
-
 /// JSON body of `POST /v1/models/{name}/replan`: the new budget, plus
 /// optional rank-step / θ overrides (everything else keeps the model's
 /// current planning options).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ReplanBody {
     /// The new FLOPs-reduction budget, in `[0, 1)`.
     pub budget: f64,
     /// Optional rank-candidate step override.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub rank_step: Option<usize>,
     /// Optional θ override.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub theta: Option<f64>,
-}
-
-impl Serialize for ReplanBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![("budget".to_string(), self.budget.to_value())];
-        if let Some(rank_step) = &self.rank_step {
-            fields.push(("rank_step".to_string(), rank_step.to_value()));
-        }
-        if let Some(theta) = &self.theta {
-            fields.push(("theta".to_string(), theta.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ReplanBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let budget = value
-            .get("budget")
-            .ok_or_else(|| serde::Error::custom("missing field `budget` in replan body"))?;
-        Ok(ReplanBody {
-            budget: f64::from_value(budget)?,
-            rank_step: optional_field(value, "rank_step")?,
-            theta: optional_field(value, "theta")?,
-        })
-    }
 }
 
 /// JSON body of `POST /v1/models/{name}/tune`: every field optional (an
 /// empty body tunes against the model's recorded target with defaults).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TuneBody {
     /// Target p99 end-to-end latency, ms (default: the model's recorded
     /// target, or one derived from its current operating point).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub target_p99_ms: Option<f64>,
     /// Whether to hot-swap the winning knobs in (default true).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub apply: Option<bool>,
     /// Coordinate-descent round budget (default 3).
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub max_rounds: Option<u64>,
 }
 
@@ -446,50 +315,23 @@ impl TuneBody {
     }
 }
 
-impl Serialize for TuneBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = Vec::new();
-        let mut push_opt = |name: &str, value: Option<serde::Value>| {
-            if let Some(value) = value {
-                fields.push((name.to_string(), value));
-            }
-        };
-        push_opt(
-            "target_p99_ms",
-            self.target_p99_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt("apply", self.apply.as_ref().map(Serialize::to_value));
-        push_opt(
-            "max_rounds",
-            self.max_rounds.as_ref().map(Serialize::to_value),
-        );
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for TuneBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Ok(TuneBody {
-            target_p99_ms: optional_field(value, "target_p99_ms")?,
-            apply: optional_field(value, "apply")?,
-            max_rounds: optional_field(value, "max_rounds")?,
-        })
-    }
-}
-
 /// JSON body of `PUT /v1/controller`: a partial [`ControllerConfig`] —
 /// present fields override the live config, absent ones keep their current
 /// values, so `{"enabled": true}` flips the watch loop on without
 /// re-stating the interval or band.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ControllerBody {
     /// Whether the watch loop acts on its ticks.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub enabled: Option<bool>,
     /// Milliseconds between watch ticks.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub interval_ms: Option<u64>,
     /// Re-tune when measured p99 drifts beyond this fraction of expected.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub drift_band_frac: Option<f64>,
     /// Minimum latency samples before a model's p99 is drift-checked.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub min_samples: Option<u64>,
 }
 
@@ -509,42 +351,6 @@ impl ControllerBody {
             config.min_samples = min_samples;
         }
         config
-    }
-}
-
-impl Serialize for ControllerBody {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = Vec::new();
-        let mut push_opt = |name: &str, value: Option<serde::Value>| {
-            if let Some(value) = value {
-                fields.push((name.to_string(), value));
-            }
-        };
-        push_opt("enabled", self.enabled.as_ref().map(Serialize::to_value));
-        push_opt(
-            "interval_ms",
-            self.interval_ms.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "drift_band_frac",
-            self.drift_band_frac.as_ref().map(Serialize::to_value),
-        );
-        push_opt(
-            "min_samples",
-            self.min_samples.as_ref().map(Serialize::to_value),
-        );
-        serde::Value::Object(fields)
-    }
-}
-
-impl Deserialize for ControllerBody {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Ok(ControllerBody {
-            enabled: optional_field(value, "enabled")?,
-            interval_ms: optional_field(value, "interval_ms")?,
-            drift_band_frac: optional_field(value, "drift_band_frac")?,
-            min_samples: optional_field(value, "min_samples")?,
-        })
     }
 }
 
@@ -888,9 +694,10 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-fn bad_body(e: serde::Error) -> ServeError {
-    ServeError::BadConfig {
-        reason: format!("malformed infer body: {}", e.message),
+/// Map a parse error of the named request body onto a 400.
+fn bad_body(body: &'static str) -> impl Fn(serde::Error) -> ServeError {
+    move |e| ServeError::BadConfig {
+        reason: format!("malformed {body} body: {}", e.message),
     }
 }
 
@@ -905,7 +712,7 @@ fn infer_single(
     model: &str,
     value: &serde::Value,
 ) -> Result<InferReply> {
-    let parsed = InferBody::from_value(value).map_err(bad_body)?;
+    let parsed = InferBody::from_value(value).map_err(bad_body("infer"))?;
     infer_single_parsed(engine, model, parsed)
 }
 
@@ -959,7 +766,7 @@ fn infer_batch(
     model: &str,
     value: &serde::Value,
 ) -> Result<BatchInferReply> {
-    let parsed = BatchInferBody::from_value(value).map_err(bad_body)?;
+    let parsed = BatchInferBody::from_value(value).map_err(bad_body("batched infer"))?;
     if parsed.inputs.is_empty() {
         return Err(ServeError::BadConfig {
             reason: "batched infer body needs at least one entry in `inputs`".into(),
@@ -1221,7 +1028,7 @@ fn infer(registry: &ModelRegistry, model: &str, body: &str) -> Result<String> {
             }
         });
     }
-    let value = serde_json::parse_value(body).map_err(bad_body)?;
+    let value = serde_json::parse_value(body).map_err(bad_body("infer"))?;
     // The body form picks the path: `inputs` is the batched contract,
     // `input` the single-sample one.
     let rendered = if value.get("inputs").is_some() {
@@ -1256,7 +1063,7 @@ fn action_path<'a>(path: &'a str, action: &str) -> Option<&'a str> {
 fn put_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     let registered = serde_json::parse_value(body)
         .and_then(|value| RegisterBody::from_value(&value))
-        .map_err(bad_body)
+        .map_err(bad_body("register"))
         .and_then(|parsed| {
             let config = parsed.model_config()?;
             registry
@@ -1300,7 +1107,7 @@ fn delete_model(registry: &ModelRegistry, name: &str) -> Routed {
 fn replan_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     let parsed = match serde_json::parse_value(body)
         .and_then(|value| ReplanBody::from_value(&value))
-        .map_err(bad_body)
+        .map_err(bad_body("replan"))
     {
         Ok(parsed) => parsed,
         Err(e) => return serve_error_routed(registry, Some(name), &e),
@@ -1330,7 +1137,7 @@ fn tune_model(registry: &ModelRegistry, name: &str, body: &str) -> Routed {
     } else {
         match serde_json::parse_value(body)
             .and_then(|value| TuneBody::from_value(&value))
-            .map_err(bad_body)
+            .map_err(bad_body("tune"))
         {
             Ok(parsed) => parsed,
             Err(e) => return serve_error_routed(registry, Some(name), &e),
@@ -1350,7 +1157,7 @@ fn put_controller(registry: &ModelRegistry, body: &str) -> Routed {
     } else {
         match serde_json::parse_value(body)
             .and_then(|value| ControllerBody::from_value(&value))
-            .map_err(bad_body)
+            .map_err(bad_body("controller"))
         {
             Ok(parsed) => parsed,
             Err(e) => return serve_error_routed(registry, None, &e),
@@ -2178,44 +1985,6 @@ mod tests {
         .unwrap()
     }
 
-    /// Every body the fast scanner accepts must parse to the exact
-    /// `InferBody` the generic serde path produces — bit-for-bit on the
-    /// f32 values, including negative zero and exponent forms.
-    #[test]
-    fn fast_parse_agrees_with_the_generic_path() {
-        let pool = BufferPool::new();
-        let bodies = [
-            r#"{"input": [1, 2.5, -0.0, 1e-3, 6.02e23, -1.5E-2]}"#,
-            r#"{"input":[0.25,0.5],"dims":[1,1,2],"deadline_ms":250}"#,
-            "{ \"deadline_ms\" : 9 ,\n\t\"input\" : [ 1 , 2 ] , \"dims\" : [ 2 ] }",
-            r#"{"input": [], "dims": null, "deadline_ms": null}"#,
-            r#"{"input": [3]}"#,
-            r#"{"input": [1e999, -1e999]}"#,
-        ];
-        for body in bodies {
-            let fast = parse_infer_fast(body, &pool, 4)
-                .unwrap_or_else(|| panic!("fast path rejected {body}"));
-            let value = serde_json::parse_value(body).unwrap();
-            let generic = InferBody::from_value(&value).unwrap();
-            assert_eq!(
-                fast.input.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                generic
-                    .input
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "input mismatch on {body}"
-            );
-            assert_eq!(fast.dims, generic.dims, "dims mismatch on {body}");
-            assert_eq!(
-                fast.deadline_ms, generic.deadline_ms,
-                "deadline mismatch on {body}"
-            );
-            pool.give(fast.input);
-            pool.give(generic.input);
-        }
-    }
-
     /// Anything outside the plain single-sample shape must bail to the
     /// generic path (`None`) — and a bail after the input array was scanned
     /// returns the pooled buffer, so checkout telemetry stays flat.
@@ -2247,6 +2016,129 @@ mod tests {
         let before = pool.stats();
         pool.give(pool.take(4));
         assert_eq!(pool.stats().allocated_buffers, before.allocated_buffers);
+    }
+
+    /// Number spellings the scanner and the derived parse both accept
+    /// (signed zeros, exponent forms, overflow to ±inf, a trailing dot),
+    /// spellings both reject, and whitespace; each list is `|`-separated.
+    const GOOD_NUMBERS: &str = "0|-0|-0.0|1|2.5|1e-3|6.02e23|-1.5E-2|1E+2|1e999|-1e999|3.|1e-50";
+    const BAD_NUMBERS: &str = "+5|1e|1e2e3|--1|-";
+    const WHITESPACE: &str = "| |\n|\t |\r\n  ";
+
+    fn pick<'a>(rng: &mut rand::rngs::StdRng, list: &'a str) -> &'a str {
+        use rand::Rng;
+        let items: Vec<&str> = list.split('|').collect();
+        items[rng.gen_range(0..items.len())]
+    }
+
+    /// One generated single-sample infer body and whether every number in
+    /// it is well formed. `order` picks one of the six key orders, and
+    /// `dims`/`deadline_ms` are absent, `null` or set per `dims_form` /
+    /// `deadline_form`; whitespace sits between every token.
+    fn generated_infer_body(
+        seed: u64,
+        order: usize,
+        dims_form: usize,
+        deadline_form: usize,
+    ) -> (String, bool) {
+        use rand::{Rng, SeedableRng};
+        let rng = &mut rand::rngs::StdRng::seed_from_u64(seed);
+        let mut valid = true;
+        let mut array = |rng: &mut rand::rngs::StdRng, good: &str, max_len: usize| {
+            let items: Vec<String> = (0..rng.gen_range(0..max_len))
+                .map(|_| {
+                    let number = match rng.gen_range(0..50) {
+                        0 => {
+                            valid = false;
+                            pick(rng, BAD_NUMBERS).to_string()
+                        }
+                        1..=16 => format!("{}", rng.gen_range(-1e6f64..1e6)),
+                        17..=32 => format!("{:e}", rng.gen_range(-1e6f64..1e6)),
+                        _ => pick(rng, good).to_string(),
+                    };
+                    format!("{}{number}{}", pick(rng, WHITESPACE), pick(rng, WHITESPACE))
+                })
+                .collect();
+            format!("[{}]", items.join(","))
+        };
+        let input = Some(array(rng, GOOD_NUMBERS, 6));
+        let dims = match dims_form {
+            0 => None,
+            1 => Some("null".to_string()),
+            _ => Some(array(rng, "1|3|2.0|1e0|4", 4)),
+        };
+        let deadline = match deadline_form {
+            0 => None,
+            1 => Some("null".to_string()),
+            _ => Some(pick(rng, "250|1e3|0|2.7|-0|-5").to_string()),
+        };
+        let fields = [("input", input), ("dims", dims), ("deadline_ms", deadline)];
+        let mut keys = [0, 1, 2];
+        keys.rotate_left(order % 3);
+        if order >= 3 {
+            keys.swap(1, 2);
+        }
+        let entries: Vec<String> = keys
+            .iter()
+            .filter_map(|&k| Some((fields[k].0, fields[k].1.as_ref()?)))
+            .map(|(key, value)| {
+                let [a, b, c, d] = [(); 4].map(|_| pick(rng, WHITESPACE));
+                format!("{a}\"{key}\"{b}:{c}{value}{d}")
+            })
+            .collect();
+        let body = format!(
+            "{}{{{}}}{}",
+            pick(rng, WHITESPACE),
+            entries.join(","),
+            pick(rng, WHITESPACE)
+        );
+        (body, valid)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// On every generated well-formed body the fast scanner answers and
+        /// agrees with the derived `InferBody` parse bit for bit on the f32
+        /// values (negative zero, exponent forms and ±inf included), `dims`
+        /// and `deadline_ms`; on a malformed number both reject.
+        #[test]
+        fn fast_parse_agrees_with_the_generic_path(
+            seed in 0u64..u64::MAX,
+            order in 0usize..6,
+            dims_form in 0usize..3,
+            deadline_form in 0usize..3,
+        ) {
+            let (body, valid) = generated_infer_body(seed, order, dims_form, deadline_form);
+            let pool = BufferPool::new();
+            let fast = parse_infer_fast(&body, &pool, 4);
+            let generic =
+                serde_json::parse_value(&body).and_then(|value| InferBody::from_value(&value));
+            match (fast, generic) {
+                (Some(fast), Ok(generic)) => {
+                    proptest::prop_assert!(valid, "accepted a bad number in {body:?}");
+                    proptest::prop_assert_eq!(
+                        fast.input.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        generic.input.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                        "input mismatch on {:?}",
+                        body
+                    );
+                    proptest::prop_assert_eq!(fast.dims, generic.dims, "dims mismatch on {:?}", body);
+                    proptest::prop_assert_eq!(
+                        fast.deadline_ms,
+                        generic.deadline_ms,
+                        "deadline mismatch on {:?}",
+                        body
+                    );
+                }
+                (None, Err(_)) => proptest::prop_assert!(!valid, "both rejected {body:?}"),
+                (fast, generic) => panic!(
+                    "fast path {} but the derived parse {} {body:?}",
+                    if fast.is_some() { "accepted" } else { "bailed" },
+                    if generic.is_ok() { "accepted" } else { "rejected" },
+                ),
+            }
+        }
     }
 
     #[test]
@@ -2640,6 +2532,12 @@ mod tests {
         server.shutdown();
     }
 
+    /// Serialize `body` and parse it back unchanged.
+    fn round_trips<T: serde::Serialize + Deserialize + PartialEq + std::fmt::Debug>(body: &T) {
+        let text = serde_json::to_string(body).unwrap();
+        assert_eq!(&serde_json::from_str::<T>(&text).unwrap(), body, "{text}");
+    }
+
     #[test]
     fn admin_bodies_round_trip_with_and_without_optional_fields() {
         let full = RegisterBody {
@@ -2657,8 +2555,7 @@ mod tests {
             seed: Some(42),
             ..RegisterBody::for_descriptor(crate::serving_descriptor("rt", 8, 4, 4))
         };
-        let text = serde_json::to_string(&full).unwrap();
-        assert_eq!(serde_json::from_str::<RegisterBody>(&text).unwrap(), full);
+        round_trips(&full);
         let config = full.model_config().unwrap();
         assert_eq!(config.planning.budget, 0.4);
         assert_eq!(config.planning.device.name, "NVIDIA GeForce RTX 2080 Ti");
@@ -2672,36 +2569,30 @@ mod tests {
         );
 
         let bare = RegisterBody::for_descriptor(crate::serving_descriptor("rt", 8, 4, 4));
-        let text = serde_json::to_string(&bare).unwrap();
-        assert!(!text.contains("budget") && !text.contains("workers"));
-        assert_eq!(serde_json::from_str::<RegisterBody>(&text).unwrap(), bare);
+        round_trips(&bare);
         assert!(serde_json::from_str::<RegisterBody>("{}").is_err());
-        assert!(RegisterBody {
-            device: Some("tpu".into()),
-            ..bare.clone()
+        for bad in [
+            RegisterBody {
+                device: Some("tpu".into()),
+                ..bare.clone()
+            },
+            RegisterBody {
+                backend: Some("npu".into()),
+                ..bare.clone()
+            },
+            RegisterBody {
+                qos: Some("urgent".into()),
+                ..bare
+            },
+        ] {
+            assert!(bad.model_config().is_err());
         }
-        .model_config()
-        .is_err());
-        assert!(RegisterBody {
-            backend: Some("npu".into()),
-            ..bare.clone()
-        }
-        .model_config()
-        .is_err());
-        assert!(RegisterBody {
-            qos: Some("urgent".into()),
-            ..bare
-        }
-        .model_config()
-        .is_err());
 
-        let replan = ReplanBody {
+        round_trips(&ReplanBody {
             budget: 0.25,
             rank_step: None,
             theta: Some(0.05),
-        };
-        let text = serde_json::to_string(&replan).unwrap();
-        assert_eq!(serde_json::from_str::<ReplanBody>(&text).unwrap(), replan);
+        });
         assert!(serde_json::from_str::<ReplanBody>("{}").is_err());
 
         let tune = TuneBody {
@@ -2709,20 +2600,11 @@ mod tests {
             apply: None,
             max_rounds: Some(2),
         };
-        let text = serde_json::to_string(&tune).unwrap();
-        assert!(
-            !text.contains("apply"),
-            "absent fields stay off the wire: {text}"
-        );
-        assert_eq!(serde_json::from_str::<TuneBody>(&text).unwrap(), tune);
+        round_trips(&tune);
         let request = tune.request();
         assert!(request.apply, "defaults fill the gaps");
         assert_eq!(request.target_p99_ms, Some(12.5));
         assert_eq!(request.max_rounds, 2);
-        assert_eq!(
-            serde_json::from_str::<TuneBody>("{}").unwrap(),
-            TuneBody::default()
-        );
 
         let controller = ControllerBody {
             enabled: Some(true),
@@ -2730,19 +2612,7 @@ mod tests {
             drift_band_frac: Some(0.2),
             min_samples: None,
         };
-        let text = serde_json::to_string(&controller).unwrap();
-        assert!(
-            !text.contains("interval_ms") && !text.contains("min_samples"),
-            "absent fields stay off the wire: {text}"
-        );
-        assert_eq!(
-            serde_json::from_str::<ControllerBody>(&text).unwrap(),
-            controller
-        );
-        assert_eq!(
-            serde_json::from_str::<ControllerBody>("{}").unwrap(),
-            ControllerBody::default()
-        );
+        round_trips(&controller);
         let live = ControllerConfig {
             interval_ms: 250,
             min_samples: 7,
@@ -2758,34 +2628,133 @@ mod tests {
 
     #[test]
     fn infer_bodies_round_trip_with_and_without_optional_fields() {
-        let with = InferBody {
+        round_trips(&InferBody {
             input: vec![1.5, -2.25],
             dims: Some(vec![2]),
             deadline_ms: Some(250),
-        };
-        let text = serde_json::to_string(&with).unwrap();
-        assert!(text.contains("deadline_ms"));
-        assert_eq!(serde_json::from_str::<InferBody>(&text).unwrap(), with);
-        let without = InferBody {
+        });
+        round_trips(&InferBody {
             input: vec![0.5],
             dims: None,
             deadline_ms: None,
-        };
-        let text = serde_json::to_string(&without).unwrap();
-        assert!(!text.contains("dims") && !text.contains("deadline_ms"));
-        assert_eq!(serde_json::from_str::<InferBody>(&text).unwrap(), without);
+        });
         assert!(serde_json::from_str::<InferBody>("{}").is_err());
-
-        let batch = BatchInferBody {
+        round_trips(&BatchInferBody {
             inputs: vec![vec![1.0], vec![2.0]],
             dims: Some(vec![1]),
             deadline_ms: None,
-        };
-        let text = serde_json::to_string(&batch).unwrap();
-        assert_eq!(
-            serde_json::from_str::<BatchInferBody>(&text).unwrap(),
-            batch
-        );
+        });
         assert!(serde_json::from_str::<BatchInferBody>("{}").is_err());
+    }
+
+    /// The six request bodies' exact wire text in the all-`None` and
+    /// all-`Some` cases, pinned byte for byte. Each text parses and
+    /// re-serializes to itself, so field order is declaration order, every
+    /// key is read back into its field, and `None` fields are absent, never
+    /// `null`.
+    #[test]
+    fn request_bodies_keep_their_pinned_wire_format() {
+        fn pinned<T: serde::Serialize + Deserialize + PartialEq + std::fmt::Debug>(
+            text: &str,
+        ) -> T {
+            let parsed: T = serde_json::from_str(text).unwrap();
+            assert_eq!(serde_json::to_string(&parsed).unwrap(), text);
+            parsed
+        }
+        let descriptor = r#"{"name":"g","convs":[{"c":4,"n":8,"h":8,"w":8,"r":3,"s":3,"pad":1,"stride":1}],"fc":[[8,4]]}"#;
+        let bare: InferBody = pinned(r#"{"input":[1.5,0,1.0000000116860974e-7]}"#);
+        assert_eq!((bare.dims, bare.deadline_ms), (None, None));
+        pinned::<InferBody>(
+            r#"{"input":[1.5,0,1.0000000116860974e-7],"dims":[1,1,3],"deadline_ms":250}"#,
+        );
+        let bare: BatchInferBody = pinned(r#"{"inputs":[[0.25],[-2]]}"#);
+        assert_eq!((bare.dims, bare.deadline_ms), (None, None));
+        pinned::<BatchInferBody>(r#"{"inputs":[[0.25],[-2]],"dims":[1,1,1],"deadline_ms":9}"#);
+        let bare: RegisterBody = pinned(&format!(r#"{{"descriptor":{descriptor}}}"#));
+        assert_eq!(bare, RegisterBody::for_descriptor(bare.descriptor.clone()));
+        pinned::<RegisterBody>(&format!(
+            r#"{{"descriptor":{descriptor},"budget":0.4,"rank_step":2,"theta":0.1,"device":"rtx2080ti","backend":"sim-gpu","max_batch_size":4,"max_batch_delay_ms":3,"max_queue_depth":64,"default_deadline_ms":250,"workers":3,"qos":"batch","seed":42}}"#
+        ));
+        let bare: ReplanBody = pinned(r#"{"budget":0.25}"#);
+        assert_eq!((bare.rank_step, bare.theta), (None, None));
+        pinned::<ReplanBody>(r#"{"budget":0.25,"rank_step":2,"theta":0.05}"#);
+        assert_eq!(pinned::<TuneBody>("{}"), TuneBody::default());
+        pinned::<TuneBody>(r#"{"target_p99_ms":12.5,"apply":false,"max_rounds":2}"#);
+        assert_eq!(pinned::<ControllerBody>("{}"), ControllerBody::default());
+        pinned::<ControllerBody>(
+            r#"{"enabled":true,"interval_ms":500,"drift_band_frac":0.2,"min_samples":7}"#,
+        );
+    }
+
+    /// A parse error names the body it came from, so an admin client is
+    /// never told its registration was a malformed infer body.
+    #[test]
+    fn body_errors_name_the_body_they_came_from() {
+        let registry = test_registry();
+        let (status, body) = route(&registry, "PUT", "/v1/models/x", "[1]");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("malformed register body"), "{body}");
+        assert!(!body.contains("infer"), "{body}");
+        let (status, body) = route(&registry, "PUT", "/v1/models/x", "{}");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("missing field `descriptor`"), "{body}");
+        assert!(!body.contains("infer"), "{body}");
+        let (status, body) = route(&registry, "POST", "/v1/models/mini/replan", "{}");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("malformed replan body"), "{body}");
+        assert!(body.contains("missing field `budget`"), "{body}");
+        assert!(!body.contains("infer"), "{body}");
+        let (status, body) = route(&registry, "POST", "/v1/models/mini/infer", "{}");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("malformed infer body"), "{body}");
+        assert!(body.contains("missing field `input`"), "{body}");
+    }
+
+    /// A tune driver that only counts how often it was asked to run.
+    struct CountingDriver(std::sync::atomic::AtomicUsize);
+
+    impl crate::control::TuneDriver for CountingDriver {
+        fn tune(
+            &self,
+            _plane: &crate::control::ControlPlane,
+            _model: &str,
+            _request: &TuneRequest,
+        ) -> Result<crate::control::TuneReport> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            Err(ServeError::Runtime {
+                reason: "counting driver".into(),
+            })
+        }
+    }
+
+    /// Tune and controller bodies whose fields are all optional still have
+    /// to be JSON objects: a scalar or an array is a 400 that neither runs a
+    /// tune nor touches the watch-loop config. An empty body keeps meaning
+    /// "all defaults".
+    #[test]
+    fn non_object_tune_and_controller_bodies_are_rejected() {
+        let registry = test_registry();
+        let driver = Arc::new(CountingDriver(Default::default()));
+        registry.set_tune_driver(driver.clone());
+        let config = registry.controller_config();
+        for body in ["5", "[1,2]", "\"on\"", "true", "null"] {
+            let (status, reply) = route(&registry, "PUT", "/v1/controller", body);
+            assert_eq!(status, 400, "controller body {body}: {reply}");
+            assert!(reply.contains("malformed controller body"), "{reply}");
+            assert!(reply.contains("expected object"), "{reply}");
+            let (status, reply) = route(&registry, "POST", "/v1/models/mini/tune", body);
+            assert_eq!(status, 400, "tune body {body}: {reply}");
+            assert!(reply.contains("malformed tune body"), "{reply}");
+        }
+        assert_eq!(registry.controller_config(), config);
+        assert_eq!(driver.0.load(Ordering::SeqCst), 0, "no tune ran");
+        // Objects and the empty body still reach the driver.
+        for body in ["", "{}", r#"{"max_rounds": 1}"#] {
+            let (status, _) = route(&registry, "POST", "/v1/models/mini/tune", body);
+            assert_eq!(status, 500, "the counting driver's error, for {body:?}");
+        }
+        assert_eq!(driver.0.load(Ordering::SeqCst), 3);
+        let (status, reply) = route(&registry, "PUT", "/v1/controller", "");
+        assert_eq!(status, 200, "{reply}");
     }
 }

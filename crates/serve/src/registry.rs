@@ -691,7 +691,9 @@ mod tests {
         let registry = ModelRegistry::new(4);
         // "expiry": a long batch delay so every impossible-deadline request
         // is released (and expired) at its own deadline instead of riding a
-        // real batch; "steady": a normal low-latency sibling.
+        // real batch, and 40 ms batches so a 1 ms deadline cannot be met
+        // even when a request is dispatched in time; "steady": a normal
+        // low-latency sibling.
         registry
             .register(
                 "expiry",
@@ -706,6 +708,9 @@ mod tests {
                         workers: 1,
                         ..RuntimeOptions::default()
                     },
+                    backend_wrapper: Some(Arc::new(crate::server::tests::Fault::Slow(
+                        Duration::from_millis(40),
+                    ))),
                     ..quick_config()
                 },
             )

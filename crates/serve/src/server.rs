@@ -908,7 +908,7 @@ fn expire_request(request: InferenceRequest, metrics: &MetricsRecorder, now: Ins
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::backend::BatchExecution;
     use crate::serving_descriptor;
@@ -1072,12 +1072,15 @@ mod tests {
         let cache = PlanCache::new(2);
         // A generous batch delay so an under-full batch would normally idle;
         // the 1 ms deadline must release and expire the request long before.
+        // Every batch takes 40 ms, so the deadline cannot be met even if the
+        // request is dispatched before it passes.
         let engine = ServeEngine::builder(&descriptor)
             .batching(BatchingOptions {
                 max_batch_size: 8,
                 max_batch_delay: Duration::from_millis(500),
                 ..BatchingOptions::default()
             })
+            .wrap_backend(Arc::new(Fault::Slow(Duration::from_millis(40))))
             .plan_cache(&cache)
             .build()
             .unwrap();
@@ -1127,6 +1130,7 @@ mod tests {
                 default_deadline: Some(Duration::from_millis(1)),
                 ..BatchingOptions::default()
             })
+            .wrap_backend(Arc::new(Fault::Slow(Duration::from_millis(40))))
             .plan_cache(&cache)
             .build()
             .unwrap();
@@ -1185,19 +1189,28 @@ mod tests {
         ));
     }
 
-    /// Wraps the real backend: `Broken(true)` fails the warmup probe,
-    /// `Broken(false)` drops the last output of every batch.
-    struct Broken(bool);
+    /// Wraps the real backend with one fault. `Slow` makes a shorter
+    /// deadline impossible by construction rather than by the speed of the
+    /// host, so deadline tests hold in optimised builds too.
+    #[derive(Clone, Copy)]
+    pub(crate) enum Fault {
+        /// The warmup probe fails.
+        Warmup,
+        /// Every batch drops its last output.
+        ShortOutputs,
+        /// Every batch sleeps this long before running.
+        Slow(Duration),
+    }
 
-    struct BrokenBackend(Arc<dyn ExecutionBackend>, bool);
+    struct FaultyBackend(Arc<dyn ExecutionBackend>, Fault);
 
-    impl BackendWrapper for Broken {
+    impl BackendWrapper for Fault {
         fn wrap(&self, inner: Arc<dyn ExecutionBackend>) -> Arc<dyn ExecutionBackend> {
-            Arc::new(BrokenBackend(inner, self.0))
+            Arc::new(FaultyBackend(inner, *self))
         }
     }
 
-    impl ExecutionBackend for BrokenBackend {
+    impl ExecutionBackend for FaultyBackend {
         fn name(&self) -> &str {
             self.0.name()
         }
@@ -1205,7 +1218,7 @@ mod tests {
             self.0.input_dims()
         }
         fn warmup(&self) -> Result<()> {
-            if self.1 {
+            if let Fault::Warmup = self.1 {
                 return Err(ServeError::ExecutionFailed {
                     reason: "broken warmup".into(),
                 });
@@ -1217,8 +1230,13 @@ mod tests {
             inputs: &[&Tensor],
             arena: &mut ScratchArena,
         ) -> Result<BatchExecution> {
+            if let Fault::Slow(delay) = self.1 {
+                std::thread::sleep(delay);
+            }
             let mut execution = self.0.forward_batch_in(inputs, arena)?;
-            execution.outputs.pop();
+            if let Fault::ShortOutputs = self.1 {
+                execution.outputs.pop();
+            }
             Ok(execution)
         }
         fn latency_report(&self, batch_size: usize) -> Result<BackendLatencyReport> {
@@ -1229,7 +1247,7 @@ mod tests {
     #[test]
     fn a_failing_warmup_fails_the_build_and_the_registration() {
         let descriptor = serving_descriptor("engine-warmup", 10, 4, 6);
-        let broken = Arc::new(Broken(true));
+        let broken = Arc::new(Fault::Warmup);
         let built = ServeEngine::builder(&descriptor)
             .wrap_backend(broken.clone())
             .build();
@@ -1262,7 +1280,7 @@ mod tests {
         let descriptor = serving_descriptor("engine-short", 10, 4, 6);
         let engine = ServeEngine::builder(&descriptor)
             .batching(test_batching())
-            .wrap_backend(Arc::new(Broken(false)))
+            .wrap_backend(Arc::new(Fault::ShortOutputs))
             .build()
             .unwrap();
         let inputs = vec![Tensor::zeros(vec![10, 10, 4]); 4];
